@@ -218,6 +218,36 @@ impl ShardPlan {
     }
 }
 
+/// A multiplicative (Fx-style) hasher for the value cache's small integer
+/// keys. SipHash's cost showed on every gathered vector, and its flooding
+/// resistance buys little here: the keys are vector indices the simulator
+/// generated, and the cache is capped, which bounds what colliding keys
+/// could cost.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type BuildKeyHasher = std::hash::BuildHasherDefault<KeyHasher>;
+
 impl EmbeddingSource for StripedSource {
     fn location_of(&self, index: VectorIndex) -> Location {
         let ranks = self.topology.total_ranks();
@@ -253,10 +283,10 @@ impl EmbeddingSource for StripedSource {
         // universe sweeps (past the cap, misses just compute). Handing out
         // `Arc` views means a cache hit is a refcount bump, not a 512 B
         // copy.
-        type ValueCache = HashMap<(u64, usize), std::sync::Arc<[f32]>>;
+        type ValueCache = HashMap<(u64, usize), std::sync::Arc<[f32]>, BuildKeyHasher>;
         thread_local! {
             static CACHE: std::cell::RefCell<ValueCache> =
-                std::cell::RefCell::new(HashMap::new());
+                std::cell::RefCell::new(HashMap::default());
         }
         const CACHE_CAP: usize = 32_768;
         let key = (u64::from(index.value()), self.vector_dim);

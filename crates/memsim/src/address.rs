@@ -118,9 +118,13 @@ impl AddressMapping {
     ///
     /// Addresses beyond the topology capacity wrap (the row field is taken
     /// modulo the row count), which keeps synthetic address generators
-    /// simple and safe.
+    /// simple and safe. Every field count is a power of two
+    /// ([`Topology::validate`]), so each field, the row included, is a
+    /// mask: this runs once per burst and needs no division.
     #[must_use]
     pub fn decode(self, addr: PhysAddr, topology: &Topology) -> Location {
+        debug_assert!(topology.rows.is_power_of_two());
+        let row_mask = topology.rows - 1;
         let mut bits = addr.0 >> log2(topology.burst_bytes);
         let mut take = |count: usize| -> usize {
             let mask = (count as u64) - 1;
@@ -135,7 +139,7 @@ impl AddressMapping {
                 let bank_group = take(topology.bank_groups);
                 let rank = take(topology.ranks_per_channel());
                 let channel = take(topology.channels);
-                let row = (bits as usize) % topology.rows;
+                let row = (bits as usize) & row_mask;
                 Location { channel, rank, bank_group, bank, row, column }
             }
             AddressMapping::ChannelInterleaved => {
@@ -144,7 +148,7 @@ impl AddressMapping {
                 let bank = take(topology.banks_per_group);
                 let bank_group = take(topology.bank_groups);
                 let rank = take(topology.ranks_per_channel());
-                let row = (bits as usize) % topology.rows;
+                let row = (bits as usize) & row_mask;
                 Location { channel, rank, bank_group, bank, row, column }
             }
         }
@@ -240,21 +244,87 @@ mod tests {
         assert_eq!(loc.dimm(&topology), 2); // rank 5 with 2 ranks/DIMM
     }
 
+    /// Every preset topology the crate ships.
+    fn preset_topologies() -> Vec<Topology> {
+        let mut presets = vec![
+            MemoryConfig::ddr4_2400_4ch().topology,
+            MemoryConfig::ddr5_4800_4ch().topology,
+            MemoryConfig::hbm2_32pc().topology,
+            MemoryConfig::ddr4_2400_1ch_1rank().topology,
+        ];
+        presets.extend((0..=5).map(|shift| MemoryConfig::with_total_ranks(1 << shift).topology));
+        presets
+    }
+
+    /// The row field taken with a division, as `decode` computed it before
+    /// it masked: the reference the masked decode must reproduce.
+    fn decode_by_modulo(mapping: AddressMapping, addr: PhysAddr, topology: &Topology) -> Location {
+        let mut bits = addr.0 / topology.burst_bytes as u64;
+        let mut take = |count: usize| -> usize {
+            let field = (bits % count as u64) as usize;
+            bits /= count as u64;
+            field
+        };
+        let order: [usize; 5] = match mapping {
+            AddressMapping::RowRankBankColumn => [0, 1, 2, 3, 4],
+            AddressMapping::ChannelInterleaved => [4, 0, 1, 2, 3],
+        };
+        let counts = [
+            topology.columns,
+            topology.banks_per_group,
+            topology.bank_groups,
+            topology.ranks_per_channel(),
+            topology.channels,
+        ];
+        let mut fields = [0usize; 5];
+        for field in order {
+            fields[field] = take(counts[field]);
+        }
+        let [column, bank, bank_group, rank, channel] = fields;
+        let row = (bits % topology.rows as u64) as usize;
+        Location { channel, rank, bank_group, bank, row, column }
+    }
+
     proptest! {
         #[test]
+        fn masked_decode_matches_the_modulo_formula_on_every_preset(raw in any::<u64>()) {
+            for topology in preset_topologies() {
+                for mapping in [AddressMapping::RowRankBankColumn, AddressMapping::ChannelInterleaved] {
+                    // The raw address wraps far past capacity; its low bits
+                    // alone also exercise in-capacity addresses.
+                    for addr in [raw, raw % topology.capacity_bytes()] {
+                        let addr = PhysAddr(addr);
+                        prop_assert_eq!(
+                            mapping.decode(addr, &topology),
+                            decode_by_modulo(mapping, addr, &topology)
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
         fn encode_decode_round_trips(
-            channel in 0usize..4,
-            rank in 0usize..8,
-            bank_group in 0usize..4,
-            bank in 0usize..4,
-            row in 0usize..32_768,
-            column in 0usize..128,
+            c0 in any::<u64>(),
+            c1 in any::<u64>(),
+            c2 in any::<u64>(),
+            c3 in any::<u64>(),
+            c4 in any::<u64>(),
+            c5 in any::<u64>(),
         ) {
-            let topology = topo();
-            let loc = Location { channel, rank, bank_group, bank, row, column };
-            for mapping in [AddressMapping::RowRankBankColumn, AddressMapping::ChannelInterleaved] {
-                let addr = mapping.encode(loc, &topology);
-                prop_assert_eq!(mapping.decode(addr, &topology), loc);
+            for topology in preset_topologies() {
+                let pick = |value: u64, count: usize| (value % count as u64) as usize;
+                let loc = Location {
+                    channel: pick(c0, topology.channels),
+                    rank: pick(c1, topology.ranks_per_channel()),
+                    bank_group: pick(c2, topology.bank_groups),
+                    bank: pick(c3, topology.banks_per_group),
+                    row: pick(c4, topology.rows),
+                    column: pick(c5, topology.columns),
+                };
+                for mapping in [AddressMapping::RowRankBankColumn, AddressMapping::ChannelInterleaved] {
+                    prop_assert_eq!(mapping.decode(mapping.encode(loc, &topology), &topology), loc);
+                }
             }
         }
 

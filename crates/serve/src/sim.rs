@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 
 use fafnir_core::placement::EmbeddingSource;
-use fafnir_core::{Batch, IndexSet, LookupResult, LookupService};
+use fafnir_core::{Batch, IndexSet, LookupService, QueryId};
 use fafnir_workloads::arrival::ArrivalProcess;
 use fafnir_workloads::faults::{FaultPlan, WorkerFaults};
 use fafnir_workloads::query::BatchGenerator;
@@ -302,20 +302,24 @@ enum JobState {
     Done,
 }
 
-/// A formed batch travelling through the dispatch layer.
+/// A formed batch travelling through the dispatch layer. Its member ids
+/// live in the matching [`BatchRecord::queries`].
 #[derive(Debug)]
 struct Job {
-    ids: Vec<usize>,
     formed_ns: f64,
     state: JobState,
-    /// Fault-free engine result for this batch; per-attempt numbers are
-    /// derived via [`LookupResult::scale_service_time`], which scales
-    /// *latencies only*. The functional outputs — including stateful
-    /// finalizations such as Mean's root-side divide by the per-query
-    /// vector count — are computed exactly once at batch formation and
-    /// shared by every retry and hedge attempt, so no attempt can
-    /// double-finalize or re-count a query's vectors.
-    base: LookupResult,
+    /// Fault-free per-query completion offsets from dispatch, sorted by
+    /// query id, kept from the batch's one engine result. Each attempt
+    /// scales these and `service_ns` by its worker's slowdown (latencies
+    /// only; a slowdown of 1.0 leaves them bit-identical); the functional
+    /// outputs — including stateful finalizations such as Mean's root-side
+    /// divide — are computed once at batch formation and never re-reduced
+    /// by a retry or hedge.
+    per_query_ns: Vec<(QueryId, f64)>,
+    /// Fault-free engine service time of the whole batch.
+    service_ns: f64,
+    /// Deduplicated DRAM vector reads one attempt issues.
+    reads_per_attempt: u64,
     primary: Option<InFlight>,
     hedge: Option<InFlight>,
     /// Crashed or timed-out attempts so far (retry budget consumed).
@@ -391,6 +395,7 @@ pub fn simulate_resilient<E: LookupService, S: EmbeddingSource>(
         batches: Vec::new(),
         attempt_log: Vec::new(),
         jobs: Vec::new(),
+        open: Vec::new(),
         free_ns: vec![0.0; config.workers],
     };
 
@@ -445,11 +450,7 @@ pub fn simulate_resilient<E: LookupService, S: EmbeddingSource>(
             }
         }
 
-        if draining
-            && queue.is_empty()
-            && waiting_first.is_empty()
-            && sim.jobs.iter().all(|j| j.state == JobState::Done)
-        {
+        if draining && queue.is_empty() && waiting_first.is_empty() && sim.open.is_empty() {
             break;
         }
 
@@ -470,7 +471,8 @@ pub fn simulate_resilient<E: LookupService, S: EmbeddingSource>(
                 }
             }
         }
-        for job in &sim.jobs {
+        for &job_id in &sim.open {
+            let job = &sim.jobs[job_id];
             match job.state {
                 JobState::InFlight => {
                     for attempt in job.primary.iter().chain(job.hedge.iter()) {
@@ -542,6 +544,13 @@ struct Sim<'a> {
     batches: Vec<BatchRecord>,
     attempt_log: Vec<AttemptRecord>,
     jobs: Vec<Job>,
+    /// Ids of the jobs not yet [`JobState::Done`], ascending (formation
+    /// order). Every per-event scan walks this list instead of all jobs
+    /// ever formed, so an event costs O(live jobs), not O(run history).
+    /// Jobs are appended when formed and pruned once `Done`; since the
+    /// scans visited `Done` jobs only to skip them, walking this list in
+    /// order resolves, hedges and retries exactly as a full scan would.
+    open: Vec<usize>,
     free_ns: Vec<f64>,
 }
 
@@ -597,8 +606,8 @@ impl Sim<'_> {
     /// service) and registers the job plus its placeholder [`BatchRecord`].
     ///
     /// This single lookup is the *only* place the reduction operator runs
-    /// for this batch. Retries and hedges replay the timing of `base` via
-    /// [`LookupResult::scale_service_time`]; they never re-reduce, so
+    /// for this batch. Retries and hedges replay its timing, scaled by
+    /// their worker's slowdown; they never re-reduce, so
     /// per-query accumulator state (Mean's carried count, TopK's heap) is
     /// finalized once per batch no matter how many attempts are started.
     fn form_job<E: LookupService, S: EmbeddingSource>(
@@ -613,7 +622,7 @@ impl Sim<'_> {
         let base = engine.lookup(&batch, source).map_err(ServeError::Engine)?;
         let job_id = self.jobs.len();
         self.batches.push(BatchRecord {
-            queries: ids.clone(),
+            queries: ids,
             formed_ns: now,
             dispatched_ns: 0.0,
             worker: 0,
@@ -626,10 +635,11 @@ impl Sim<'_> {
             failed: false,
         });
         self.jobs.push(Job {
-            ids,
             formed_ns: now,
             state: JobState::WaitingFirst,
-            base,
+            per_query_ns: base.per_query_ns,
+            service_ns: base.latency.total_ns,
+            reads_per_attempt: base.traffic.vectors_read,
             primary: None,
             hedge: None,
             failures: 0,
@@ -639,6 +649,7 @@ impl Sim<'_> {
             first_dispatch_ns: 0.0,
             vectors_read: 0,
         });
+        self.open.push(job_id);
         Ok(job_id)
     }
 
@@ -648,7 +659,7 @@ impl Sim<'_> {
     fn start_attempt(&mut self, job_id: usize, worker: usize, now: f64, hedge: bool) {
         let job = &mut self.jobs[job_id];
         let slowdown = self.resilience.faults.worker(worker).slowdown;
-        let service_ns = job.base.latency.total_ns * slowdown;
+        let service_ns = job.service_ns * slowdown;
         let finish = now + service_ns;
         let crash = self.resilience.faults.worker(worker).first_crash_within(now, finish);
         let timeout = self.resilience.timeout_ns.map(|t| now + t).filter(|&t| t < finish);
@@ -671,7 +682,7 @@ impl Sim<'_> {
             job.first_dispatch_ns = now;
         }
         job.attempts += 1;
-        job.vectors_read += job.base.traffic.vectors_read;
+        job.vectors_read += job.reads_per_attempt;
         job.state = JobState::InFlight;
     }
 
@@ -679,7 +690,8 @@ impl Sim<'_> {
     /// a job, earlier resolution first). Returns whether anything resolved.
     fn resolve_due(&mut self, now: f64) -> bool {
         let mut progressed = false;
-        for job_id in 0..self.jobs.len() {
+        for k in 0..self.open.len() {
+            let job_id = self.open[k];
             loop {
                 if self.jobs[job_id].state != JobState::InFlight {
                     break;
@@ -715,7 +727,16 @@ impl Sim<'_> {
                 progressed = true;
             }
         }
+        if progressed {
+            self.prune_done();
+        }
         progressed
+    }
+
+    /// Drops finished jobs from the open list, keeping it ascending.
+    fn prune_done(&mut self) {
+        let jobs = &self.jobs;
+        self.open.retain(|&job_id| jobs[job_id].state != JobState::Done);
     }
 
     /// A successful attempt delivers the batch: stamp member completions
@@ -723,16 +744,16 @@ impl Sim<'_> {
     /// losing attempt, and finalize the batch record.
     fn resolve_win(&mut self, job_id: usize, winner: InFlight) {
         let win_ns = winner.resolve_ns;
+        let slowdown = self.resilience.faults.worker(winner.worker).slowdown;
         let job = &mut self.jobs[job_id];
-        let mut scaled = job.base.clone();
-        scaled.scale_service_time(self.resilience.faults.worker(winner.worker).slowdown);
-        for &(member, completion) in &scaled.per_query_ns {
-            let id = job.ids[member.0 as usize];
+        let record = &mut self.batches[job_id];
+        for &(member, completion) in &job.per_query_ns {
+            let id = record.queries[member.0 as usize];
             self.records[id].outcome = QueryOutcome::Served {
                 batch: job_id,
                 formed_ns: job.formed_ns,
                 dispatched_ns: winner.start_ns,
-                completion_ns: winner.start_ns + completion,
+                completion_ns: winner.start_ns + completion * slowdown,
             };
         }
         let loser = if winner.hedge { job.primary.take() } else { job.hedge.take() };
@@ -742,10 +763,9 @@ impl Sim<'_> {
             job.primary = None;
         }
         job.state = JobState::Done;
-        let record = &mut self.batches[job_id];
         record.dispatched_ns = winner.start_ns;
         record.worker = winner.worker;
-        record.service_ns = scaled.latency.total_ns;
+        record.service_ns = job.service_ns * slowdown;
         record.vectors_read = job.vectors_read;
         record.attempts = job.attempts;
         record.hedged = job.hedged;
@@ -810,11 +830,11 @@ impl Sim<'_> {
             return;
         }
         let failed_ns = failed.resolve_ns;
-        for &id in &job.ids {
+        let record = &mut self.batches[job_id];
+        for &id in &record.queries {
             self.records[id].outcome = QueryOutcome::Failed { failed_ns };
         }
         job.state = JobState::Done;
-        let record = &mut self.batches[job_id];
         record.dispatched_ns = job.first_dispatch_ns;
         record.worker = failed.worker;
         record.service_ns = 0.0;
@@ -829,7 +849,8 @@ impl Sim<'_> {
     fn launch_hedges(&mut self, now: f64) -> bool {
         let Some(hedge_ns) = self.resilience.hedge_ns else { return false };
         let mut progressed = false;
-        for job_id in 0..self.jobs.len() {
+        for k in 0..self.open.len() {
+            let job_id = self.open[k];
             let job = &self.jobs[job_id];
             if job.state != JobState::InFlight || job.hedged || job.in_flight_count() != 1 {
                 continue;
@@ -849,7 +870,8 @@ impl Sim<'_> {
     /// one that just failed (falling back when it is the only one up).
     fn dispatch_retries(&mut self, now: f64) -> bool {
         let mut progressed = false;
-        for job_id in 0..self.jobs.len() {
+        for k in 0..self.open.len() {
+            let job_id = self.open[k];
             let JobState::WaitingRetry { ready_ns, exclude } = self.jobs[job_id].state else {
                 continue;
             };
@@ -869,30 +891,26 @@ impl Sim<'_> {
     /// queued queries are dropped at `now` instead of waiting forever.
     fn shed_escalation(&mut self, now: f64, waiting_first: &mut VecDeque<usize>) {
         waiting_first.clear();
-        for job_id in 0..self.jobs.len() {
+        for &job_id in &self.open {
             let job = &mut self.jobs[job_id];
-            match job.state {
+            let record = &mut self.batches[job_id];
+            let outcome = match job.state {
                 JobState::Done | JobState::InFlight => continue,
-                JobState::WaitingFirst => {
-                    // Never dispatched: this is admission-control territory,
-                    // so the members count as shed.
-                    for &id in &job.ids {
-                        self.records[id].outcome = QueryOutcome::Shed { shed_ns: now };
-                    }
-                }
-                JobState::WaitingRetry { .. } => {
-                    for &id in &job.ids {
-                        self.records[id].outcome = QueryOutcome::Failed { failed_ns: now };
-                    }
-                }
+                // Never dispatched: this is admission-control territory, so
+                // the members count as shed.
+                JobState::WaitingFirst => QueryOutcome::Shed { shed_ns: now },
+                JobState::WaitingRetry { .. } => QueryOutcome::Failed { failed_ns: now },
+            };
+            for &id in &record.queries {
+                self.records[id].outcome = outcome;
             }
             job.state = JobState::Done;
-            let record = &mut self.batches[job_id];
             record.dispatched_ns = job.first_dispatch_ns;
             record.vectors_read = job.vectors_read;
             record.attempts = job.attempts;
             record.hedged = job.hedged;
             record.failed = true;
         }
+        self.prune_done();
     }
 }

@@ -316,3 +316,55 @@ fn mean_finalizes_each_query_exactly_once_under_retries_and_hedges() {
         }
     }
 }
+
+#[test]
+fn slowdown_scales_service_times_but_not_reads() {
+    use fafnir_core::{Batch, GatherEngine};
+
+    // One healthy worker and one at 4x: every batch's timing must be the
+    // fault-free engine result times its winner's slowdown — exactly, so a
+    // slowdown of 1.0 is a bit-for-bit no-op — while reads stay unscaled.
+    let config = two_worker_config();
+    let mut plan = FaultPlan::none(config.workers);
+    plan.workers[1].slowdown = 4.0;
+    let resilience = ResilienceConfig { faults: plan, ..ResilienceConfig::none(config.workers) };
+    let outcome = run_resilient(&config, &resilience);
+
+    let engine = engine();
+    let source = source();
+    let mut replay = zipf_traffic(21);
+    let shapes: Vec<_> = (0..config.queries).map(|_| replay.query()).collect();
+    let mut batches_per_worker = [0usize; 2];
+    for record in &outcome.batches {
+        let batch = Batch::from_index_sets(record.queries.iter().map(|&id| shapes[id].clone()));
+        let base = engine.lookup(&batch, &source).expect("replay lookup");
+        let slowdown = resilience.faults.worker(record.worker).slowdown;
+        batches_per_worker[record.worker] += 1;
+        assert_eq!(record.attempts, 1, "no crash, timeout or hedge can fire");
+        assert_eq!(record.service_ns.to_bits(), (base.latency.total_ns * slowdown).to_bits());
+        assert_eq!(record.vectors_read, base.traffic.vectors_read, "reads are not scaled");
+        for &(member, offset) in &base.per_query_ns {
+            let QueryOutcome::Served { dispatched_ns, completion_ns, .. } =
+                outcome.records[record.queries[member.0 as usize]].outcome
+            else {
+                panic!("every query of a fault-free batch is served");
+            };
+            assert_eq!(dispatched_ns.to_bits(), record.dispatched_ns.to_bits());
+            assert_eq!(completion_ns.to_bits(), (dispatched_ns + offset * slowdown).to_bits());
+        }
+    }
+    assert!(
+        batches_per_worker.iter().all(|&n| n > 0),
+        "both workers serve: {batches_per_worker:?}"
+    );
+
+    // A plan that spells out a 1.0 slowdown for every worker is the
+    // fault-free run, bit for bit.
+    let unit = ResilienceConfig {
+        faults: FaultPlan::slow_workers(config.workers, config.workers, 1.0),
+        ..ResilienceConfig::none(config.workers)
+    };
+    let plain = run_resilient(&config, &ResilienceConfig::none(config.workers));
+    let slowed_by_one = run_resilient(&config, &unit);
+    assert_eq!(format!("{plain:?}"), format!("{slowed_by_one:?}"));
+}

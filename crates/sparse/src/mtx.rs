@@ -137,7 +137,7 @@ pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
         ));
     }
 
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz);
+    let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
     let mut seen = 0usize;
     for (number, line) in lines {
         let line = line.trim();

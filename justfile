@@ -87,18 +87,32 @@ calibrate:
 bench-kernels *ARGS:
     cargo bench -p fafnir-bench --bench reduce_kernels -- {{ARGS}}
 
-# Profile the serving data plane with gprofng (binutils). Samples the
-# profile_sim example looping the serving-bench workload and prints the
-# hottest functions. Relative percentages are trustworthy even where the
-# absolute totals undersample; compare profiles at the same LOOPS.
-# Requires `gprofng` on PATH. `mode` selects the memory model
-# (`just profile fast` profiles the fast-functional data plane).
-profile mode="cycle" loops="10":
-    cargo build --release -p fafnir-serve --examples
-    rm -rf /tmp/fafnir-profile.er
-    MEMORY_MODEL={{mode}} LOOPS={{loops}} gprofng collect app \
-        -o /tmp/fafnir-profile.er target/release/examples/profile_sim
-    gprofng display text -functions /tmp/fafnir-profile.er | head -40
+# The repository benchmark (BENCHMARK.json): run every workload briefly and
+# fail unless each reports `"correct": true`. For a full measurement run one
+# workload at the declared length, e.g.
+# `cargo run --release --offline --manifest-path perfbench/Cargo.toml --
+# --workload serve-zipf-fast --seed 1 --seconds 30 --trace 1`.
+# The `perfbench-smoke` job in .github/workflows/ci.yml runs the same
+# workload list; keep the two in step.
+bench seconds="2":
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    for workload in serve-zipf-fast cluster-uniform-cycle spmv-rmat-partitioned; do \
+        perfbench/target/release/fafnir-perfbench --workload $workload --seed 1 \
+            --seconds {{seconds}} --trace 0 | tail -n 1 | tee /dev/stderr \
+            | grep -q '^{"correct": true' || exit 1; \
+    done
+
+# Profile one benchmark workload with gprofng (binutils) and print the
+# hottest functions. Samples the untraced perfbench run at the high
+# sampling rate: the default rate catches too few samples on short runs.
+# Requires `gprofng` on PATH.
+profile workload="serve-zipf-fast" seconds="8":
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    rm -rf target/fafnir-profile.er
+    gprofng collect app -p high -o target/fafnir-profile.er \
+        perfbench/target/release/fafnir-perfbench --workload {{workload}} --seed 1 \
+        --seconds {{seconds}} --trace 0
+    gprofng display text -functions target/fafnir-profile.er | head -40
 
 # A quick look at the resilience layer: a straggler replica with hedging.
 serve-faults-demo:
