@@ -154,6 +154,22 @@ impl AddressMapping {
         }
     }
 
+    /// How many consecutive bursts, starting with the one decoded to
+    /// `location`, stay in its (channel, rank, bank, row).
+    ///
+    /// Under `RowRankBankColumn` the column is the lowest field, so the run
+    /// lasts to the row's last column; the next burst carries into the bank
+    /// field. `ChannelInterleaved` moves every burst to another channel
+    /// (or, on one channel, another column of the same row; a run of 1 is
+    /// exact either way).
+    #[must_use]
+    pub fn row_run(self, location: Location, topology: &Topology) -> usize {
+        match self {
+            AddressMapping::RowRankBankColumn => topology.columns - location.column,
+            AddressMapping::ChannelInterleaved => 1,
+        }
+    }
+
     /// Encodes a device location back into a physical address.
     ///
     /// Inverse of [`AddressMapping::decode`] for in-bounds locations.
@@ -286,6 +302,29 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn a_row_run_keeps_bank_and_row_then_leaves_them(raw in any::<u64>()) {
+            use AddressMapping::{ChannelInterleaved, RowRankBankColumn};
+            for topology in preset_topologies() {
+                let burst = topology.burst_bytes as u64;
+                for mapping in [RowRankBankColumn, ChannelInterleaved] {
+                    let decode =
+                        |k: u64| mapping.decode(PhysAddr(raw.wrapping_add(k * burst)), &topology);
+                    let first = decode(0);
+                    let run = mapping.row_run(first, &topology) as u64;
+                    let same_row =
+                        |loc: Location| Location { column: first.column, ..loc } == first;
+                    for k in 1..run {
+                        prop_assert!(same_row(decode(k)), "burst {} of {} left the row", k, run);
+                        prop_assert_eq!(decode(k).column, first.column + k as usize);
+                    }
+                    if mapping == RowRankBankColumn {
+                        prop_assert!(!same_row(decode(run)), "the run ended before the row did");
+                    }
+                }
+            }
+        }
+
         #[test]
         fn masked_decode_matches_the_modulo_formula_on_every_preset(raw in any::<u64>()) {
             for topology in preset_topologies() {

@@ -285,6 +285,9 @@ impl Timing {
         if self.tREFI <= self.tRFC {
             return Err("tREFI must exceed tRFC".into());
         }
+        if self.tBL == 0 {
+            return Err("tBL must be non-zero: a burst occupies the bus".into());
+        }
         Ok(())
     }
 }
@@ -515,6 +518,13 @@ mod tests {
         let mut config = MemoryConfig::ddr4_2400_4ch();
         config.timing.tRC = 10;
         assert!(config.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_burst_time() {
+        let mut config = MemoryConfig::ddr4_2400_4ch();
+        config.timing.tBL = 0;
+        assert!(config.validate().unwrap_err().contains("tBL"));
     }
 
     #[test]

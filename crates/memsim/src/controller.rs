@@ -156,6 +156,7 @@ impl ChannelController {
         let bus_count = if config.ndp_data_path { ranks.len() } else { 1 };
         let rank_count = ranks.len();
         let banks_per_rank = config.topology.banks_per_rank();
+        let bank_count = rank_count * banks_per_rank;
         // Stagger refreshes so ranks do not all block at once.
         let next_refresh = (0..rank_count)
             .map(|r| (r as Cycle + 1) * config.timing.tREFI / rank_count.max(1) as Cycle)
@@ -164,13 +165,15 @@ impl ChannelController {
             config,
             ranks,
             buses: vec![DataBus::new(); bus_count],
-            bank_queues: vec![VecDeque::new(); rank_count * banks_per_rank],
+            // Built, not cloned: `vec![VecDeque::new(); n]` would clone an
+            // empty deque n − 1 times, which dominated construction.
+            bank_queues: (0..bank_count).map(|_| VecDeque::new()).collect(),
             busy_banks: Vec::new(),
             queued: 0,
             window_seqs: VecDeque::new(),
             window_banks: Vec::new(),
-            window_bank_pos: vec![u32::MAX; rank_count * banks_per_rank],
-            window_bank_count: vec![0; rank_count * banks_per_rank],
+            window_bank_pos: vec![u32::MAX; bank_count],
+            window_bank_count: vec![0; bank_count],
             banks_per_rank,
             stats: MemoryStats::new(),
             next_refresh,

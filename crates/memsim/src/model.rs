@@ -7,10 +7,11 @@
 //! * [`crate::MemorySystem`] — the cycle-accurate, command-level simulator
 //!   (unchanged; still the calibrated reference), and
 //! * [`FastFunctionalMemory`] — an analytic model that skips per-command
-//!   DRAM state entirely and prices each read **eagerly at submit time**
-//!   from the address stream: per-bank row-buffer hit/miss/conflict runs,
-//!   bank and data-bus pacing ceilings, an optional straggler-rank penalty,
-//!   and refresh as a bandwidth derate factor.
+//!   DRAM state entirely and prices each read **eagerly at submit time**,
+//!   one same-row run of bursts at a time, from the address stream:
+//!   per-bank row-buffer hit/miss/conflict runs, bank and data-bus pacing
+//!   ceilings, an optional straggler-rank penalty, and refresh as a
+//!   bandwidth derate factor.
 //!
 //! The fast model keeps *functional* behaviour identical (every request
 //! completes, burst counts and byte counts match the cycle model exactly)
@@ -170,7 +171,8 @@ struct FastBacklog {
 /// The fast-functional memory model: analytic per-read pricing, no
 /// per-command DRAM state.
 ///
-/// Every burst is priced **eagerly at submit time**, in submission order:
+/// Every request is priced **eagerly at submit time**, in submission
+/// order. Each burst would pay
 ///
 /// ```text
 /// issue  = max(arrival, bank.free, bus.free) + row_delay
@@ -186,6 +188,14 @@ struct FastBacklog {
 /// policy closes a row whose bank sat idle past the timeout. When refresh
 /// is enabled, reported times are derated by `tREFI / (tREFI − tRFC)`
 /// instead of simulating REF commands.
+///
+/// The model does not walk the bursts one by one. A request splits into
+/// runs of consecutive bursts in one (channel, rank, bank, row) — a whole
+/// 512 B vector under `RowRankBankColumn` — and each run is decoded once.
+/// Bursts 2..n of a run meet the same bank state after the same issue gap,
+/// `max(tCCD_L, tBL, tCCD_S)`, under every page policy, so their outcome,
+/// delay and counters repeat and the run is priced as an arithmetic series
+/// with the same result as burst-by-burst pricing.
 ///
 /// Functional counters (`reads`, `bytes_transferred`, burst outcome counts)
 /// are computed from the same address stream the cycle model sees, so they
@@ -252,12 +262,58 @@ impl FastFunctionalMemory {
         }
     }
 
-    /// Prices one burst, returning `(issue, finish)` in underated cycles.
-    fn price_burst(
+    /// The row a burst finds open in a bank whose `open_row` has sat
+    /// `idle` cycles since its last access: the adaptive policy closes it
+    /// past the timeout. Counts the speculative close `count` times.
+    fn after_idle_close(&mut self, open_row: u64, idle: Cycle, count: u64) -> u64 {
+        match self.config.page_policy {
+            PagePolicy::Adaptive { timeout } if open_row != FastBank::CLOSED && idle > timeout => {
+                self.stats.precharges += count;
+                FastBank::CLOSED
+            }
+            _ => open_row,
+        }
+    }
+
+    /// Counts `count` bursts to `row` that each meet `open_row`, returning
+    /// the row delay each one pays: 0 for a hit, `tRCD` for a miss and
+    /// `tRP + tRCD` for a conflict.
+    fn meet_row(&mut self, open_row: u64, row: u64, count: u64) -> Cycle {
+        let t = self.config.timing;
+        if open_row == row {
+            self.stats.row_hits += count;
+            0
+        } else if open_row == FastBank::CLOSED {
+            self.stats.row_misses += count;
+            self.stats.activations += count;
+            t.tRCD
+        } else {
+            self.stats.row_conflicts += count;
+            self.stats.activations += count;
+            self.stats.precharges += count;
+            t.tRP + t.tRCD
+        }
+    }
+
+    /// Prices a run of `bursts` consecutive bursts that all decode to
+    /// `location`'s (channel, rank, bank, row), returning the first
+    /// burst's issue and the last one's finish in underated cycles.
+    ///
+    /// Only the first burst meets arbitrary bank and bus state. It issues
+    /// at `issue_1 >= arrival` and leaves the bank free at
+    /// `issue_1 + tCCD_L` and the bus at `issue_1 + max(tBL, tCCD_S)`, so
+    /// burst `k + 1` is ready exactly `gap = max(tCCD_L, tBL, tCCD_S)`
+    /// after burst `k` issued, and meets the row burst `k` left: the
+    /// same row under the open and adaptive policies, none under the
+    /// closed one. Its row outcome and delay therefore repeat for bursts
+    /// 2..n (under the adaptive policy they turn on whether `gap` exceeds
+    /// the timeout), and `issue_k = issue_1 + (k − 1)·(gap + delay)`.
+    fn price_run(
         &mut self,
         location: Location,
         kind: AccessKind,
         arrival: Cycle,
+        bursts: u64,
     ) -> (Cycle, Cycle) {
         let topology = self.config.topology;
         let t = self.config.timing;
@@ -266,36 +322,27 @@ impl FastFunctionalMemory {
         let bus_index = self.bus_index(location);
         let bank = self.banks[bank_index];
         let ready = arrival.max(bank.free).max(self.buses[bus_index]);
+        let row = location.row as u64;
 
-        // Row-buffer outcome from the consecutive-row run in this bank's
-        // stream, with the adaptive policy's idle-timeout close estimated
-        // from the gap since the bank's last access.
-        let open_row = match self.config.page_policy {
-            PagePolicy::Adaptive { timeout }
-                if bank.open_row != FastBank::CLOSED
-                    && ready.saturating_sub(bank.last_issue) > timeout =>
-            {
-                self.stats.precharges += 1; // the speculative close
+        let open_row =
+            self.after_idle_close(bank.open_row, ready.saturating_sub(bank.last_issue), 1);
+        let first_issue = ready + self.meet_row(open_row, row, 1);
+        let next_open = match self.config.page_policy {
+            PagePolicy::Closed => {
+                self.stats.precharges += bursts; // auto-precharge after each access
                 FastBank::CLOSED
             }
-            _ => bank.open_row,
+            _ => row,
         };
-        let row = location.row as u64;
-        let row_delay = if open_row == row {
-            self.stats.row_hits += 1;
-            0
-        } else if open_row == FastBank::CLOSED {
-            self.stats.row_misses += 1;
-            self.stats.activations += 1;
-            t.tRCD
+        let repeats = bursts - 1;
+        let last_issue = if repeats == 0 {
+            first_issue
         } else {
-            self.stats.row_conflicts += 1;
-            self.stats.activations += 1;
-            self.stats.precharges += 1;
-            t.tRP + t.tRCD
+            let gap = t.tCCD_L.max(t.tBL).max(t.tCCD_S);
+            let open_row = self.after_idle_close(next_open, gap, repeats);
+            first_issue + repeats * (gap + self.meet_row(open_row, row, repeats))
         };
 
-        let issue = ready + row_delay;
         let access_latency = match kind {
             AccessKind::Read => t.tCL,
             AccessKind::Write => t.tCWL,
@@ -308,36 +355,31 @@ impl FastFunctionalMemory {
             }
             _ => 0,
         };
-        let finish = issue + access_latency + t.tBL + straggler;
+        let finish = last_issue + access_latency + t.tBL + straggler;
 
-        let next_open = match self.config.page_policy {
-            PagePolicy::Closed => {
-                self.stats.precharges += 1; // auto-precharge after the access
-                FastBank::CLOSED
-            }
-            _ => row,
-        };
         self.banks[bank_index] =
-            FastBank { open_row: next_open, free: issue + t.tCCD_L, last_issue: issue };
-        self.buses[bus_index] = issue + t.tBL.max(t.tCCD_S);
+            FastBank { open_row: next_open, free: last_issue + t.tCCD_L, last_issue };
+        self.buses[bus_index] = last_issue + t.tBL.max(t.tCCD_S);
 
         match kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
+            AccessKind::Read => self.stats.reads += bursts,
+            AccessKind::Write => self.stats.writes += bursts,
         }
-        self.stats.bytes_transferred += topology.burst_bytes as u64;
+        self.stats.bytes_transferred += bursts * topology.burst_bytes as u64;
 
         // Backlog estimate for `max_queue_depth`: bursts stack up on a data
-        // path until its pacing clock passes their arrival.
+        // path until its pacing clock passes their arrival. The first burst
+        // finishes after `arrival` (tBL > 0), so only it can find the path
+        // drained.
         let backlog = &mut self.backlogs[bus_index];
         if arrival >= backlog.drained_by {
             backlog.queued = 0;
         }
-        backlog.queued += 1;
+        backlog.queued += bursts;
         backlog.drained_by = backlog.drained_by.max(finish);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(backlog.queued);
 
-        (issue, finish)
+        (first_issue, finish)
     }
 }
 
@@ -353,19 +395,22 @@ impl MemoryModel for FastFunctionalMemory {
     fn submit(&mut self, request: Request) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let bursts = request.bursts(self.config.topology.burst_bytes);
+        let topology = self.config.topology;
+        let mapping = self.config.mapping;
+        let mut addr = request.addr.0;
+        let mut remaining = request.bursts(topology.burst_bytes);
         let mut start = Cycle::MAX;
         let mut finish = 0;
         let (hits0, misses0, conflicts0) =
             (self.stats.row_hits, self.stats.row_misses, self.stats.row_conflicts);
-        for burst in 0..bursts {
-            let addr = crate::PhysAddr(
-                request.addr.0 + burst as u64 * self.config.topology.burst_bytes as u64,
-            );
-            let location = self.config.mapping.decode(addr, &self.config.topology);
-            let (issue, end) = self.price_burst(location, request.kind, request.arrival);
+        while remaining > 0 {
+            let location = mapping.decode(crate::PhysAddr(addr), &topology);
+            let run = mapping.row_run(location, &topology).min(remaining);
+            let (issue, end) = self.price_run(location, request.kind, request.arrival, run as u64);
             start = start.min(issue);
             finish = finish.max(end);
+            addr = addr.wrapping_add((run * topology.burst_bytes) as u64);
+            remaining -= run;
         }
         let completion = Completion {
             id,

@@ -1,8 +1,6 @@
 //! The user-facing memory system: request submission, simulation driving,
 //! and completion collection.
 
-use std::collections::HashMap;
-
 use crate::address::Location;
 use crate::config::MemoryConfig;
 use crate::controller::{BurstJob, ChannelController};
@@ -20,6 +18,17 @@ struct Pending {
     row_hits: u32,
     row_misses: u32,
     row_conflicts: u32,
+}
+
+/// Where a request stands.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Some of its bursts are still in flight.
+    Pending(Pending),
+    /// Finished, waiting for [`MemorySystem::take_completions`].
+    Done(Completion),
+    /// Finished and taken.
+    Taken,
 }
 
 /// A complete simulated DDR4 memory system.
@@ -41,8 +50,12 @@ struct Pending {
 pub struct MemorySystem {
     config: MemoryConfig,
     controllers: Vec<ChannelController>,
-    pending: HashMap<RequestId, Pending>,
-    completions: HashMap<RequestId, Completion>,
+    /// One slot per request id from `id_base` on: ids are dense and
+    /// sequential, so a request's slot is `slots[id − id_base]`.
+    slots: Vec<Slot>,
+    id_base: u64,
+    /// Requests in `Slot::Pending`.
+    in_flight: usize,
     request_stats: MemoryStats,
     next_id: u64,
     next_seq: u64,
@@ -68,8 +81,9 @@ impl MemorySystem {
         Self {
             config,
             controllers,
-            pending: HashMap::new(),
-            completions: HashMap::new(),
+            slots: Vec::new(),
+            id_base: 0,
+            in_flight: 0,
             request_stats: MemoryStats::new(),
             next_id: 0,
             next_seq: 0,
@@ -96,18 +110,17 @@ impl MemorySystem {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         let bursts = request.bursts(self.config.topology.burst_bytes) as u32;
-        self.pending.insert(
-            id,
-            Pending {
-                arrival: request.arrival,
-                remaining: bursts,
-                start_cycle: Cycle::MAX,
-                finish_cycle: 0,
-                row_hits: 0,
-                row_misses: 0,
-                row_conflicts: 0,
-            },
-        );
+        debug_assert_eq!(self.slot_index(id), Some(self.slots.len()));
+        self.slots.push(Slot::Pending(Pending {
+            arrival: request.arrival,
+            remaining: bursts,
+            start_cycle: Cycle::MAX,
+            finish_cycle: 0,
+            row_hits: 0,
+            row_misses: 0,
+            row_conflicts: 0,
+        }));
+        self.in_flight += 1;
         for burst in 0..bursts {
             let addr = crate::PhysAddr(
                 request.addr.0 + u64::from(burst) * self.config.topology.burst_bytes as u64,
@@ -155,7 +168,10 @@ impl MemorySystem {
     /// order across controllers is immaterial.
     fn absorb(&mut self, results: Vec<crate::controller::BurstResult>) {
         for result in results {
-            let Some(pending) = self.pending.get_mut(&result.id) else { continue };
+            let Some(slot) = self.slot_index(result.id).and_then(|i| self.slots.get_mut(i)) else {
+                continue;
+            };
+            let Slot::Pending(pending) = slot else { continue };
             pending.start_cycle = pending.start_cycle.min(result.issue_cycle);
             pending.finish_cycle = pending.finish_cycle.max(result.finish_cycle);
             match result.outcome {
@@ -165,21 +181,18 @@ impl MemorySystem {
             }
             pending.remaining -= 1;
             if pending.remaining == 0 {
-                let pending = self.pending.remove(&result.id).expect("tracked");
+                self.in_flight -= 1;
                 self.request_stats.requests_completed += 1;
                 self.request_stats.total_request_latency +=
                     pending.finish_cycle.saturating_sub(pending.arrival);
-                self.completions.insert(
-                    result.id,
-                    Completion {
-                        id: result.id,
-                        finish_cycle: pending.finish_cycle,
-                        start_cycle: pending.start_cycle,
-                        row_hits: pending.row_hits,
-                        row_misses: pending.row_misses,
-                        row_conflicts: pending.row_conflicts,
-                    },
-                );
+                *slot = Slot::Done(Completion {
+                    id: result.id,
+                    finish_cycle: pending.finish_cycle,
+                    start_cycle: pending.start_cycle,
+                    row_hits: pending.row_hits,
+                    row_misses: pending.row_misses,
+                    row_conflicts: pending.row_conflicts,
+                });
             }
         }
     }
@@ -262,8 +275,15 @@ impl MemorySystem {
 
     /// Advances the clock to the last in-flight data beat and returns it.
     fn finish_clock(&mut self) -> Cycle {
-        let last_finish =
-            self.completions.values().map(|c| c.finish_cycle).max().unwrap_or(self.now);
+        let last_finish = self
+            .slots
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Done(completion) => Some(completion.finish_cycle),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(self.now);
         self.now = self.now.max(last_finish);
         self.now
     }
@@ -278,13 +298,36 @@ impl MemorySystem {
     /// The completion record for `id`, if it has finished.
     #[must_use]
     pub fn completion(&self, id: RequestId) -> Option<&Completion> {
-        self.completions.get(&id)
+        match self.slots.get(self.slot_index(id)?)? {
+            Slot::Done(completion) => Some(completion),
+            _ => None,
+        }
     }
 
-    /// Drains and returns all recorded completions (e.g. between batches).
+    /// Index of `id`'s slot, if `id` is not older than the slots.
+    fn slot_index(&self, id: RequestId) -> Option<usize> {
+        id.0.checked_sub(self.id_base).map(|offset| offset as usize)
+    }
+
+    /// Drains and returns all recorded completions (e.g. between batches),
+    /// ordered by `(finish_cycle, id)`. Requests still in flight stay
+    /// tracked; the slots rebase past the leading taken ones.
     pub fn take_completions(&mut self) -> Vec<Completion> {
-        let mut all: Vec<Completion> = self.completions.drain().map(|(_, c)| c).collect();
+        let mut all = Vec::new();
+        for slot in &mut self.slots {
+            if let Slot::Done(completion) = *slot {
+                all.push(completion);
+                *slot = Slot::Taken;
+            }
+        }
         all.sort_by_key(|c| (c.finish_cycle, c.id));
+        let taken = self
+            .slots
+            .iter()
+            .position(|slot| !matches!(slot, Slot::Taken))
+            .unwrap_or(self.slots.len());
+        self.slots.drain(..taken);
+        self.id_base += taken as u64;
         all
     }
 
@@ -292,7 +335,7 @@ impl MemorySystem {
     /// completed and no controller with queued bursts.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.controllers.iter().all(ChannelController::is_idle)
+        self.in_flight == 0 && self.controllers.iter().all(ChannelController::is_idle)
     }
 
     /// Zeroes every accumulated counter (request-level and per-channel) at
@@ -310,7 +353,7 @@ impl MemorySystem {
     /// backends.
     pub fn reset_stats(&mut self) {
         let idle = self.is_idle();
-        let (pending, queued) = (self.pending.len(), self.total_queued());
+        let (pending, queued) = (self.in_flight, self.total_queued());
         self.request_stats.reset_phase(idle, || {
             format!(
                 "{pending} pending requests, {queued} queued bursts — counters of in-flight \
@@ -467,6 +510,67 @@ mod tests {
         assert_eq!(completions.len(), 2);
         assert!(completions[0].finish_cycle <= completions[1].finish_cycle);
         assert!(mem.take_completions().is_empty());
+    }
+
+    #[test]
+    fn take_completions_leaves_requests_in_flight_trackable() {
+        let mut mem = MemorySystem::new(MemoryConfig::ddr4_2400_4ch());
+        let early = mem.submit(Request::read(0, 512));
+        let late = mem.submit(Request::read(1 << 20, 512).at(5_000));
+        while mem.completion(early).is_none() {
+            mem.tick();
+        }
+        let taken = mem.take_completions();
+        assert_eq!(taken.iter().map(|c| c.id).collect::<Vec<_>>(), vec![early]);
+        assert!(mem.completion(late).is_none(), "still in flight");
+        assert!(!mem.is_idle());
+        mem.run_until_idle();
+        let done = *mem.completion(late).expect("completes after the take");
+        assert!(done.start_cycle >= 5_000);
+        assert_eq!(mem.take_completions(), vec![done]);
+    }
+
+    #[test]
+    fn completion_of_a_taken_id_is_none() {
+        let mut mem = MemorySystem::new(MemoryConfig::ddr4_2400_4ch());
+        let id = mem.submit(Request::read(0, 64));
+        mem.run_until_idle();
+        assert!(mem.completion(id).is_some());
+        assert_eq!(mem.take_completions().len(), 1);
+        assert!(mem.completion(id).is_none());
+        // Later requests do not resurrect it.
+        mem.submit(Request::read(64, 64));
+        mem.run_until_idle();
+        assert!(mem.completion(id).is_none());
+    }
+
+    #[test]
+    fn ids_keep_rising_across_takes() {
+        let mut mem = MemorySystem::new(MemoryConfig::ddr4_2400_4ch());
+        let mut last = None;
+        for round in 0..4u64 {
+            let ids: Vec<RequestId> =
+                (0..3).map(|i| mem.submit(Request::read((round * 3 + i) << 12, 64))).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            assert!(last.is_none_or(|last| last < ids[0]), "round {round}: {ids:?} after {last:?}");
+            last = ids.last().copied();
+            mem.run_until_idle();
+            assert!(ids.iter().all(|&id| mem.completion(id).is_some()));
+            assert_eq!(mem.take_completions().len(), 3);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "2 pending requests")]
+    fn reset_stats_message_counts_pending_requests_after_a_take() {
+        let mut mem = MemorySystem::new(MemoryConfig::ddr4_2400_4ch());
+        mem.submit(Request::read(0, 512));
+        mem.run_until_idle();
+        mem.take_completions();
+        mem.submit(Request::read(0, 512));
+        mem.submit(Request::read(1 << 20, 64));
+        mem.reset_stats();
     }
 
     #[test]

@@ -166,9 +166,20 @@ pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
         }
         let value = match field {
             Field::Pattern => 1.0,
-            Field::Real | Field::Integer => parts[2]
-                .parse::<f64>()
-                .map_err(|_| MtxError::new(number + 1, format!("bad value `{}`", parts[2])))?,
+            Field::Real | Field::Integer => {
+                // `f64::from_str` also accepts `nan`, `inf` and overflowing
+                // literals; none of them is a matrix entry.
+                let value = parts[2]
+                    .parse::<f64>()
+                    .map_err(|_| MtxError::new(number + 1, format!("bad value `{}`", parts[2])))?;
+                if !value.is_finite() {
+                    return Err(MtxError::new(
+                        number + 1,
+                        format!("non-finite value `{}`", parts[2]),
+                    ));
+                }
+                value
+            }
         };
         let (row, col) = (row - 1, col - 1);
         triplets.push((row, col, value));

@@ -7,10 +7,12 @@ default:
 # Formatting gate.
 fmt:
     cargo fmt --all -- --check
+    cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 # Lint gate (matches CI: warnings are errors).
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Tier-1: the check the repo is graded on.
 tier1:

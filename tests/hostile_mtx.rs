@@ -23,3 +23,23 @@ fn huge_declared_entry_counts_are_errors_not_aborts() {
         }
     }
 }
+
+#[test]
+fn non_finite_values_are_errors_naming_their_line() {
+    for field in ["real", "integer"] {
+        for symmetry in ["general", "symmetric", "skew-symmetric"] {
+            for value in ["nan", "NaN", "inf", "-inf", "+infinity", "1e400"] {
+                let text = format!(
+                    "%%MatrixMarket matrix coordinate {field} {symmetry}\n% comment\n3 3 2\n\
+                     1 1 2.0\n2 1 {value}\n"
+                );
+                let error = mtx::parse(&text).expect_err("a non-finite entry is not a value");
+                assert_eq!(error.line, 5, "{field} {symmetry} {value}: {error}");
+                assert!(
+                    error.to_string().contains(&format!("non-finite value `{value}`")),
+                    "{field} {symmetry} {value}: unexpected error: {error}"
+                );
+            }
+        }
+    }
+}
