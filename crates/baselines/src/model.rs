@@ -1,8 +1,6 @@
 //! Shared types for embedding-lookup engines: the outcome record, the
 //! host/core cost model, and the engine trait.
 
-use serde::{Deserialize, Serialize};
-
 use fafnir_core::batch::Batch;
 use fafnir_core::pipeline::GatherEngine;
 use fafnir_core::placement::EmbeddingSource;
@@ -10,7 +8,7 @@ use fafnir_core::{FafnirEngine, FafnirError, LookupResult, QueryId, TrafficStats
 use fafnir_mem::MemoryStats;
 
 /// Result of one batch lookup on any engine (FAFNIR or a baseline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LookupOutcome {
     /// Finished per-query outputs, sorted by query id.
     pub outputs: Vec<(QueryId, Vec<f32>)>,
@@ -108,7 +106,7 @@ impl LookupOutcome {
 
 /// Cost model of the host side: the link from memory to cores and the cores'
 /// reduction throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreModel {
     /// Element-wise f32 operations the cores sustain per nanosecond
     /// (SIMD reduction over vectors streaming through the cache hierarchy).
@@ -227,8 +225,9 @@ impl LookupEngine for FafnirEngine {
     }
 }
 
-/// Validates an outcome's outputs against the software reference; panics
-/// with a descriptive message on mismatch. Test/benchmark helper.
+/// Validates an outcome's outputs against the software reference folded
+/// with `operator`; panics with a descriptive message on mismatch.
+/// Test/benchmark helper.
 ///
 /// # Panics
 ///
@@ -237,9 +236,9 @@ pub fn assert_outputs_match<S: EmbeddingSource>(
     outcome: &LookupOutcome,
     batch: &Batch,
     source: &S,
-    op: fafnir_core::ReduceOp,
+    operator: &dyn fafnir_core::ReduceOperator,
 ) {
-    let reference = fafnir_core::engine::reference_lookup(batch, source, op);
+    let reference = fafnir_core::reference_lookup_with(batch, source, operator);
     assert_eq!(outcome.outputs.len(), reference.len(), "missing query outputs");
     for ((qa, got), (qb, expected)) in outcome.outputs.iter().zip(&reference) {
         assert_eq!(qa, qb, "query order mismatch");
@@ -296,13 +295,13 @@ mod tests {
 
     #[test]
     fn fafnir_as_lookup_engine_matches_reference_and_is_all_ndp() {
-        use fafnir_core::{indexset, FafnirConfig, ReduceOp, StripedSource};
+        use fafnir_core::{indexset, FafnirConfig, StripedSource};
         let mem = fafnir_mem::MemoryConfig::ddr4_2400_4ch();
         let fafnir = FafnirEngine::new(FafnirConfig::paper_default(), mem).unwrap();
         let source = StripedSource::new(mem.topology, 128);
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
         let outcome = LookupEngine::lookup(&fafnir, &batch, &source).unwrap();
-        assert_outputs_match(&outcome, &batch, &source, ReduceOp::Sum);
+        assert_outputs_match(&outcome, &batch, &source, &*fafnir.active_operator());
         assert_eq!(outcome.core_elem_ops, 0);
         assert_eq!(LookupEngine::name(&fafnir), "fafnir");
         assert!(outcome.ndp_elem_ops > 0);

@@ -163,7 +163,7 @@ mod tests {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
         let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_outputs_match(&outcome, &batch, &source, ReduceOp::Sum);
+        assert_outputs_match(&outcome, &batch, &source, &*ReduceOp::Sum.operator());
     }
 
     #[test]

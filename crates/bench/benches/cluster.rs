@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, print_table};
+use fafnir_bench::{banner, print_table, record_guarded};
 use fafnir_cluster::{cluster_setup, ClusterReport, RouterPolicy};
 use fafnir_core::{FafnirConfig, ShardPlan, ShardStrategy, VectorIndex};
 use fafnir_mem::MemoryModelKind;
@@ -33,15 +33,6 @@ const RATE_QPS: f64 = 2e6;
 const HOT_FRACTION: f64 = 0.05;
 const SEED: u64 = 7;
 const REGRESSION_TOLERANCE: f64 = 0.8;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -86,7 +77,6 @@ fn run_scenario(
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Sharded cluster — throughput, imbalance, cross-shard traffic vs shard count",
         "row-range sharding over independent trees; split queries merge via ReduceOperator",
@@ -141,18 +131,6 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("sim_queries_per_sec", sim_queries_per_sec)].iter().any(|&(key, new)| {
-            extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-        });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 ({sim_queries_per_sec:.0} queries/s); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let sweep: Vec<String> = scenarios
         .iter()
         .map(|s| {
@@ -188,6 +166,10 @@ fn main() {
         relieved.report.imbalance,
         cycle.report.throughput_qps,
     );
-    std::fs::write(path, json).expect("write BENCH_cluster.json");
-    println!("recorded {path}");
+    record_guarded(
+        path,
+        &json,
+        &[("sim_queries_per_sec", sim_queries_per_sec)],
+        REGRESSION_TOLERANCE,
+    );
 }

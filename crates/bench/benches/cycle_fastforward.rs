@@ -1,7 +1,7 @@
 //! Event-driven fast-forwarding vs unit stepping — wall clock and parity.
 //!
 //! Both hot loops keep a unit-stepped reference engine
-//! ([`MemorySystem::run_until_idle_stepped`], [`CycleTree::run_stepped`])
+//! ([`MemorySystem::run_until_idle_stepped`], [`CycleTree::run_stepped_with`])
 //! next to the event-driven production path. On idle-heavy workloads —
 //! sparse arrivals separated by long quiet stretches, exactly the shape
 //! embedding-gather traffic has between batches — the stepped engines walk
@@ -17,10 +17,12 @@
 use std::time::Instant;
 
 use criterion::black_box;
-use fafnir_bench::{banner, print_table, times};
+use fafnir_bench::{banner, print_table, record_guarded, times};
 use fafnir_core::cycle_sim::CycleTree;
-use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
+use fafnir_core::{
+    Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, SumOperator, VectorIndex,
+};
 use fafnir_mem::{MemoryConfig, MemorySystem, Request};
 
 const MEM_READS: u64 = 64;
@@ -76,20 +78,10 @@ fn tree_inputs(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
             ready_ns: TREE_SPREAD_NS * f64::from(index.value()),
         })
         .collect();
-    build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
-}
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    build_rank_inputs_with(batch, &gathered, ranks, 2, &SumOperator, &PeTiming::default())
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Event-driven fast-forward — wall clock vs unit stepping",
         "next-event jumps make idle-heavy simulations cheap without changing a single cycle",
@@ -132,16 +124,16 @@ fn main() {
     let fafnir = FafnirConfig { vector_dim: 4, ..FafnirConfig::paper_default() };
     let tree = ReductionTree::new(fafnir, 8).expect("tree");
     let sim = CycleTree::new(&tree, 32).expect("non-zero capacity");
-    let fast = sim.run(tree_inputs(&batch, 8)).expect("fast run");
-    let stepped = sim.run_stepped(tree_inputs(&batch, 8)).expect("stepped run");
+    let fast = sim.run_with(&SumOperator, tree_inputs(&batch, 8)).expect("fast run");
+    let stepped = sim.run_stepped_with(&SumOperator, tree_inputs(&batch, 8)).expect("stepped run");
     assert_eq!(fast, stepped, "cycle_sim engines diverge");
     let tree_cycles = fast.completion_cycle;
 
     let tree_stepped_ns = measure(|| {
-        black_box(sim.run_stepped(tree_inputs(&batch, 8)).expect("stepped run"));
+        black_box(sim.run_stepped_with(&SumOperator, tree_inputs(&batch, 8)).expect("stepped run"));
     });
     let tree_fast_ns = measure(|| {
-        black_box(sim.run(tree_inputs(&batch, 8)).expect("fast run"));
+        black_box(sim.run_with(&SumOperator, tree_inputs(&batch, 8)).expect("fast run"));
     });
     let tree_speedup = tree_stepped_ns / tree_fast_ns;
 
@@ -168,20 +160,6 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cycle_fastforward.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("mem_speedup", mem_speedup), ("tree_speedup", tree_speedup)].iter().any(
-            |&(key, new)| {
-                extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-            },
-        );
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: speedup regressed vs the recorded result \
-                 (mem {mem_speedup:.1}x, tree {tree_speedup:.1}x); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let json = format!(
         "{{\n  \"bench\": \"cycle_fastforward\",\n  \
          \"parity\": \"command logs, stats, completions and final cycles identical between \
@@ -195,6 +173,10 @@ fn main() {
          \"tree_stepped_wall_ns\": {tree_stepped_ns:.0},\n  \
          \"tree_fast_wall_ns\": {tree_fast_ns:.0},\n  \"tree_speedup\": {tree_speedup:.2}\n}}\n"
     );
-    std::fs::write(path, json).expect("write BENCH_cycle_fastforward.json");
-    println!("recorded {path}");
+    record_guarded(
+        path,
+        &json,
+        &[("mem_speedup", mem_speedup), ("tree_speedup", tree_speedup)],
+        REGRESSION_TOLERANCE,
+    );
 }

@@ -95,7 +95,7 @@ fn buffer_sizing_validation() {
         "window semantics make undersized FIFOs deadlock; B-sized FIFOs never stall",
     );
     use fafnir_core::cycle_sim::CycleTree;
-    use fafnir_core::inject::{build_rank_inputs, GatheredVector};
+    use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
     use fafnir_core::ReductionTree;
     let config = FafnirConfig { vector_dim: 16, ..FafnirConfig::paper_default() };
     let tree = ReductionTree::new(config, 8).expect("tree");
@@ -112,19 +112,20 @@ fn buffer_sizing_validation() {
         .collect();
     let inputs = |cap: usize| {
         let _ = cap;
-        build_rank_inputs(
+        build_rank_inputs_with(
             &batch,
             &gathered,
             8,
             2,
-            fafnir_core::ReduceOp::Sum,
+            &fafnir_core::SumOperator,
             &fafnir_core::PeTiming::default(),
         )
     };
     let mut rows = Vec::new();
     for capacity in [1usize, 2, 4, 8, 16, 32] {
-        let outcome =
-            CycleTree::new(&tree, capacity).expect("non-zero capacity").run(inputs(capacity));
+        let outcome = CycleTree::new(&tree, capacity)
+            .expect("non-zero capacity")
+            .run_with(&fafnir_core::SumOperator, inputs(capacity));
         rows.push(match outcome {
             Ok(run) => vec![
                 capacity.to_string(),

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record_guarded};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_serve::{simulate_resilient, BatchPolicy, ResilienceConfig, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
@@ -26,15 +26,6 @@ const QUERIES: usize = 512;
 const SLOWDOWN: f64 = 8.0;
 const HEDGE_DELAYS_NS: [Option<f64>; 3] = [None, Some(6_000.0), Some(3_000.0)];
 const REGRESSION_TOLERANCE: f64 = 0.9;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -47,7 +38,6 @@ fn serve_config() -> ServeConfig {
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Fault resilience — hedged dispatch vs DRAM reads per query",
         "a duplicate dispatch re-issues deduplicated DRAM reads to cut the straggler tail",
@@ -124,25 +114,6 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault_resilience.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [
-            ("p999_speedup_hedged", p999_speedup_hedged),
-            ("churn_delivery", churn_delivery),
-            ("sim_queries_per_sec", sim_queries_per_sec),
-        ]
-        .iter()
-        .any(|&(key, new)| {
-            extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-        });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 (p99.9 speedup {p999_speedup_hedged:.3}, churn delivery {churn_delivery:.3}, \
-                 {sim_queries_per_sec:.0} queries/s); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let per_delay: Vec<String> = HEDGE_DELAYS_NS
         .iter()
         .zip(&reports)
@@ -174,6 +145,14 @@ fn main() {
         churn_report.retries,
         churn_report.crashes,
     );
-    std::fs::write(path, json).expect("write BENCH_fault_resilience.json");
-    println!("recorded {path}");
+    record_guarded(
+        path,
+        &json,
+        &[
+            ("p999_speedup_hedged", p999_speedup_hedged),
+            ("churn_delivery", churn_delivery),
+            ("sim_queries_per_sec", sim_queries_per_sec),
+        ],
+        REGRESSION_TOLERANCE,
+    );
 }

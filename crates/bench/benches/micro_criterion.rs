@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use fafnir_core::batch::Batch;
-use fafnir_core::inject::{build_rank_inputs, GatheredVector};
+use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
 use fafnir_core::{
-    FafnirConfig, IndexSet, PeTiming, ProcessingElement, ReduceOp, ReductionTree, VectorIndex,
+    FafnirConfig, IndexSet, PeTiming, ProcessingElement, ReductionTree, SumOperator, VectorIndex,
 };
 use fafnir_mem::{MemoryConfig, MemorySystem, Request};
 use fafnir_sparse::stream::{merge_tree, PartialStream, StreamOps};
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench_pe_process(c: &mut Criterion) {
-    let pe = ProcessingElement::new(ReduceOp::Sum);
+    let pe = ProcessingElement::default();
     let batch = Batch::from_index_sets(
         (0..8u32).map(|i| IndexSet::from_iter_dedup((0..8).map(move |j| VectorIndex(i * 8 + j)))),
     );
@@ -30,9 +30,14 @@ fn bench_pe_process(c: &mut Criterion) {
             ready_ns: 0.0,
         })
         .collect();
-    let inputs = build_rank_inputs(&batch, &gathered, 2, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs =
+        build_rank_inputs_with(&batch, &gathered, 2, 2, &SumOperator, &PeTiming::default());
     c.bench_function("pe_process_32_items", |b| {
-        b.iter(|| black_box(pe.process(&inputs[0], &inputs[1])));
+        b.iter_batched(
+            || (inputs[0].clone(), inputs[1].clone()),
+            |(a, b)| black_box(pe.process_owned(&SumOperator, a, b)),
+            BatchSize::SmallInput,
+        );
     });
 }
 
@@ -53,9 +58,14 @@ fn bench_tree_run(c: &mut Criterion) {
             ready_ns: 0.0,
         })
         .collect();
-    let inputs = build_rank_inputs(&batch, &gathered, 32, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs =
+        build_rank_inputs_with(&batch, &gathered, 32, 2, &SumOperator, &PeTiming::default());
     c.bench_function("tree_run_16x16_batch", |b| {
-        b.iter_batched(|| inputs.clone(), |i| black_box(tree.run(i)), BatchSize::SmallInput);
+        b.iter_batched(
+            || inputs.clone(),
+            |i| black_box(tree.run_with(&SumOperator, i)),
+            BatchSize::SmallInput,
+        );
     });
 }
 
@@ -137,12 +147,13 @@ fn bench_cycle_sim(c: &mut Criterion) {
             ready_ns: 50.0,
         })
         .collect();
-    let inputs = build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs =
+        build_rank_inputs_with(&batch, &gathered, 8, 2, &SumOperator, &PeTiming::default());
     let sim = CycleTree::new(&tree, 32).expect("non-zero capacity");
     c.bench_function("cycle_sim_8x8_batch", |b| {
         b.iter_batched(
             || inputs.clone(),
-            |i| black_box(sim.run(i).expect("no deadlock")),
+            |i| black_box(sim.run_with(&SumOperator, i).expect("no deadlock")),
             BatchSize::SmallInput,
         );
     });

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record_guarded};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_serve::{run_scenarios, BatchPolicy, Scenario, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
@@ -25,18 +25,8 @@ const QUERIES: usize = 512;
 const WINDOWS_NS: [f64; 3] = [1_000.0, 4_000.0, 16_000.0];
 const REGRESSION_TOLERANCE: f64 = 0.8;
 
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let force = args.iter().any(|arg| arg == "--force");
     let scenario_threads: usize = args
         .iter()
         .position(|arg| arg == "--scenario-threads")
@@ -100,24 +90,6 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed =
-            [("dedup_savings_widest", dedup_savings), ("sim_queries_per_sec", sim_queries_per_sec)]
-                .iter()
-                .any(|&(key, new)| {
-                    extract_number(&previous, key)
-                        .is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-                });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 (dedup {:.3}, {sim_queries_per_sec:.0} queries/s); \
-                 rerun with --force to accept",
-                dedup_savings
-            );
-            std::process::exit(1);
-        }
-    }
     let per_window: Vec<String> = WINDOWS_NS
         .iter()
         .zip(&reports)
@@ -143,6 +115,10 @@ fn main() {
          \"sim_queries_per_sec\": {sim_queries_per_sec:.0}\n}}\n",
         per_window.join(",\n    ")
     );
-    std::fs::write(path, json).expect("write BENCH_serving.json");
-    println!("recorded {path}");
+    record_guarded(
+        path,
+        &json,
+        &[("dedup_savings_widest", dedup_savings), ("sim_queries_per_sec", sim_queries_per_sec)],
+        REGRESSION_TOLERANCE,
+    );
 }

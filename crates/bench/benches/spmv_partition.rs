@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, print_table};
+use fafnir_bench::{banner, print_table, record_guarded};
 use fafnir_sparse::{
     execute_partitioned, fafnir_spmv, gen, CooMatrix, LilMatrix, PartitionReport,
     PartitionStrategy, SpmvPartition, SpmvTiming,
@@ -26,15 +26,6 @@ const RANK_COUNTS: [usize; 4] = [2, 4, 8, 16];
 const VECTOR_SIZE: usize = 256;
 const SEED: u64 = 7;
 const REGRESSION_TOLERANCE: f64 = 0.8;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn strategies(ranks: usize) -> [PartitionStrategy; 4] {
     [
@@ -84,7 +75,6 @@ fn sweep_matrix(
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Partitioned SpMV — imbalance vs speedup across rank counts",
         "1D row / nnz-balanced / column and 2D grid partitions, real-PIM style",
@@ -150,18 +140,6 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spmv.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("sim_nnz_per_sec", sim_nnz_per_sec)].iter().any(|&(key, new)| {
-            extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-        });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 ({sim_nnz_per_sec:.0} nnz/s); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let sweep: Vec<String> = scenarios
         .iter()
         .map(|s| {
@@ -201,6 +179,5 @@ fn main() {
         row_16.speedup,
         nnz_16.speedup,
     );
-    std::fs::write(path, json).expect("write BENCH_spmv.json");
-    println!("recorded {path}");
+    record_guarded(path, &json, &[("sim_nnz_per_sec", sim_nnz_per_sec)], REGRESSION_TOLERANCE);
 }

@@ -3,7 +3,8 @@
 //! Each `benches/*.rs` target regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index). This library holds the shared
 //! pieces: aligned table printing, the calibrated paper-traffic generator,
-//! and engine constructors.
+//! engine constructors, and the regression guard that records a bench's
+//! `BENCH_*.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -129,9 +130,99 @@ pub fn ns(value: f64) -> String {
     }
 }
 
+/// Pulls the number following `"key": ` out of a recorded JSON report.
+fn extract_number(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\": ");
+    let start = json.find(&needle)? + needle.len();
+    let rest = &json[start..];
+    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// The guard decision: every `(key, new, recorded)` of `guarded` whose new
+/// value fell below `tolerance` × the value `previous` records. A key the
+/// recorded report lacks never counts as a regression.
+fn regressions(previous: &str, guarded: &[(&str, f64)], tolerance: f64) -> Vec<(String, f64, f64)> {
+    guarded
+        .iter()
+        .filter_map(|&(key, new)| {
+            let old = extract_number(previous, key)?;
+            (new < old * tolerance).then(|| (key.to_string(), new, old))
+        })
+        .collect()
+}
+
+/// Writes a bench's `json` report to `path`, unless a report already there
+/// records a materially better value for one of the `guarded`
+/// `(key, new value)` pairs — any new value below `tolerance` × the
+/// recorded one. Then it names the regressed keys and exits with status 1;
+/// passing `--force` to the bench accepts the regression and writes anyway.
+///
+/// # Panics
+///
+/// Panics if the report cannot be written.
+pub fn record_guarded(path: &str, json: &str, guarded: &[(&str, f64)], tolerance: f64) {
+    let force = std::env::args().any(|arg| arg == "--force");
+    if let Ok(previous) = std::fs::read_to_string(path) {
+        let regressed = regressions(&previous, guarded, tolerance);
+        if !regressed.is_empty() && !force {
+            let detail: Vec<String> = regressed
+                .iter()
+                .map(|(key, new, old)| format!("{key} {new:.3} vs recorded {old:.3}"))
+                .collect();
+            eprintln!(
+                "refusing to overwrite {path}: result regressed vs the recorded run ({}); \
+                 rerun with --force to accept",
+                detail.join(", ")
+            );
+            std::process::exit(1);
+        }
+    }
+    std::fs::write(path, json).unwrap_or_else(|error| panic!("write {path}: {error}"));
+    println!("recorded {path}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shape every guarded bench records: nested objects first, the
+    /// guarded scalars last.
+    const RECORDED: &str = "{\n  \"bench\": \"serving\",\n  \"windows\": [\n    \
+        {\"window_ns\": 1000, \"dedup_savings\": 0.100000}\n  ],\n  \
+        \"dedup_savings_widest\": 0.400000,\n  \"sim_queries_per_sec\": 50000\n}\n";
+
+    #[test]
+    fn guard_flags_a_regression_below_tolerance() {
+        let regressed = regressions(RECORDED, &[("sim_queries_per_sec", 39_999.0)], 0.8);
+        assert_eq!(regressed, vec![("sim_queries_per_sec".to_string(), 39_999.0, 50_000.0)]);
+        // Within tolerance is not a regression.
+        assert!(regressions(RECORDED, &[("sim_queries_per_sec", 40_000.0)], 0.8).is_empty());
+    }
+
+    #[test]
+    fn guard_accepts_equal_and_improved_values() {
+        let guarded = [("dedup_savings_widest", 0.4), ("sim_queries_per_sec", 50_000.0)];
+        assert!(regressions(RECORDED, &guarded, 0.9).is_empty());
+        let improved = [("dedup_savings_widest", 0.5), ("sim_queries_per_sec", 90_000.0)];
+        assert!(regressions(RECORDED, &improved, 0.9).is_empty());
+    }
+
+    #[test]
+    fn guard_ignores_keys_the_recorded_report_lacks() {
+        assert!(regressions(RECORDED, &[("mean_recall", 0.0)], 0.9).is_empty());
+        assert!(regressions("", &[("sim_queries_per_sec", 0.0)], 0.9).is_empty());
+        // Only the recorded key of a mixed list is compared.
+        let mixed = [("mean_recall", 0.0), ("dedup_savings_widest", 0.1)];
+        assert_eq!(regressions(RECORDED, &mixed, 0.9).len(), 1);
+    }
+
+    #[test]
+    fn extract_number_matches_whole_keys() {
+        assert_eq!(extract_number(RECORDED, "sim_queries_per_sec"), Some(50_000.0));
+        assert_eq!(extract_number(RECORDED, "dedup_savings"), Some(0.1));
+        assert_eq!(extract_number(RECORDED, "bench"), None);
+    }
 
     #[test]
     fn formatting_helpers() {

@@ -7,13 +7,11 @@
 //! listing every query that needs it. The tree then reuses the value as many
 //! times as required — no caches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::{IndexSet, QueryId, VectorIndex};
 use crate::item::PendingQuery;
 
 /// One embedding-lookup query: a set of indices to gather and reduce.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// Batch-local identifier.
     pub id: QueryId,
@@ -44,7 +42,7 @@ impl Query {
 /// assert_eq!(batch.unique_indices().len(), 6);
 /// assert!(batch.access_savings() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Batch {
     queries: Vec<Query>,
 }
@@ -215,32 +213,9 @@ impl Batch {
         groups
     }
 
-    /// Reference (software) reduction: fetches every index through `fetch`
-    /// and reduces per query. Used to validate tree outputs.
-    #[must_use]
-    pub fn reference_outputs<F>(
-        &self,
-        op: crate::reduce::ReduceOp,
-        mut fetch: F,
-    ) -> Vec<(QueryId, Option<Vec<f32>>)>
-    where
-        F: FnMut(VectorIndex) -> Vec<f32>,
-    {
-        self.queries
-            .iter()
-            .map(|query| {
-                let vectors: Vec<Vec<f32>> = query.indices.iter().map(&mut fetch).collect();
-                let slices: Vec<&[f32]> = vectors.iter().map(Vec::as_slice).collect();
-                (query.id, op.reduce_all(slices.iter().copied()))
-            })
-            .collect()
-    }
-
-    /// Operator-generic variant of [`Batch::reference_outputs`]: every
-    /// fetched vector is lifted with its index, folded in query order and
-    /// finalized — the software reference for index-aware operators
-    /// (`ArgMax`, `TopK`) that [`crate::reduce::ReduceOp::reduce_all`]
-    /// cannot express.
+    /// Reference (software) reduction used to validate tree outputs: every
+    /// index is fetched through `fetch`, lifted with its index, folded in
+    /// query order and finalized by `operator`. Empty queries yield `None`.
     #[must_use]
     pub fn reference_outputs_with<F>(
         &self,
@@ -373,8 +348,9 @@ mod tests {
     #[test]
     fn reference_outputs_reduce_per_query() {
         let batch = Batch::from_index_sets([indexset![1, 2], indexset![2]]);
-        let outputs = batch
-            .reference_outputs(crate::reduce::ReduceOp::Sum, |index| vec![index.value() as f32; 2]);
+        let outputs = batch.reference_outputs_with(&crate::reduce::SumOperator, |index| {
+            vec![index.value() as f32; 2]
+        });
         assert_eq!(outputs[0].1, Some(vec![3.0, 3.0]));
         assert_eq!(outputs[1].1, Some(vec![2.0, 2.0]));
     }

@@ -6,8 +6,6 @@
 //! count/tag bytes — so buffer-sizing claims rest on executable code and
 //! the link-transfer model can charge exact header bytes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::{IndexSet, QueryId, VectorIndex};
 use crate::item::{Header, PendingQuery};
 
@@ -67,7 +65,7 @@ impl std::error::Error for CodecError {}
 /// assert_eq!(codec.decode(&bytes)?, header);
 /// # Ok::<(), fafnir_core::codec::CodecError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HeaderCodec {
     /// Bits per index field (5 for 32 distinct vectors/tables).
     pub bits_per_index: u32,

@@ -17,13 +17,13 @@
 //! complete (the hardware's end-of-batch delimiter), then emit one item per
 //! initiation interval.
 //!
-//! Two engines share these semantics. [`CycleTree::run_stepped`] is the
-//! reference: it sweeps every PE on every cycle, advancing time strictly one
-//! cycle at a time. [`CycleTree::run`] is **event-driven**: PEs live in a
-//! ready-queue keyed by their next relevant cycle (window completion after
-//! sealing, scheduled emissions at the initiation interval, link arrivals),
-//! and the clock jumps between events instead of visiting dead cycles. The
-//! two are cycle-exact: same outputs, completion cycle, stall count, peak
+//! Two engines share these semantics. [`CycleTree::run_stepped_with`] is
+//! the reference: it sweeps every PE on every cycle, advancing time strictly
+//! one cycle at a time. [`CycleTree::run_with`] is **event-driven**: PEs live
+//! in a ready-queue keyed by their next relevant cycle (window completion
+//! after sealing, scheduled emissions at the initiation interval, link
+//! arrivals), and the clock jumps between events instead of visiting dead
+//! cycles. The two are cycle-exact: same outputs, completion cycle, stall count, peak
 //! occupancy — and the same deadlock cycle when buffers are undersized
 //! (pinned by the parity property suite).
 //!
@@ -36,11 +36,10 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::FafnirConfig;
 use crate::item::Item;
 use crate::pe::ProcessingElement;
+use crate::reduce::ReduceOperator;
 use crate::tree::ReductionTree;
 
 /// Why a cycle-stepped traversal could not complete (or start).
@@ -81,7 +80,7 @@ impl std::fmt::Display for CycleSimError {
 impl std::error::Error for CycleSimError {}
 
 /// Result of a cycle-stepped traversal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleRun {
     /// Items emitted by the root, with `ready_ns` set from the cycle clock.
     pub outputs: Vec<Item>,
@@ -136,8 +135,8 @@ struct SimSetup {
 ///
 /// ```
 /// use fafnir_core::cycle_sim::CycleTree;
-/// use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-/// use fafnir_core::{indexset, Batch, FafnirConfig, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+/// use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
+/// use fafnir_core::{indexset, Batch, FafnirConfig, PeTiming, ReductionTree, SumOperator};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let config = FafnirConfig { vector_dim: 4, ..FafnirConfig::paper_default() };
@@ -153,8 +152,8 @@ struct SimSetup {
 ///         ready_ns: 0.0,
 ///     })
 ///     .collect();
-/// let inputs = build_rank_inputs(&batch, &gathered, 4, 2, ReduceOp::Sum, &PeTiming::default());
-/// let run = CycleTree::new(&tree, 8)?.run(inputs)?;
+/// let inputs = build_rank_inputs_with(&batch, &gathered, 4, 2, &SumOperator, &PeTiming::default());
+/// let run = CycleTree::new(&tree, 8)?.run_with(&SumOperator, inputs)?;
 /// assert_eq!(run.stall_cycles, 0);
 /// # Ok(())
 /// # }
@@ -292,8 +291,9 @@ impl CycleTree {
         }
     }
 
-    /// Runs one batch with the **event-driven** engine; `rank_inputs` as in
-    /// [`ReductionTree::run`].
+    /// Runs one batch with the **event-driven** engine, its PEs combining
+    /// item values with `operator`; `rank_inputs` (already lifted
+    /// accumulators) as in [`ReductionTree::run_with`].
     ///
     /// PEs are woken from a ready-queue at their next relevant cycle —
     /// window completion (all arrivals landed, after sealing), each
@@ -301,9 +301,11 @@ impl CycleTree {
     /// between events. Within a visited cycle PEs are processed in
     /// ascending id order, which is exactly the reference sweep order, so
     /// every fire, transfer and stall lands on the same cycle as
-    /// [`CycleTree::run_stepped`]; idle gaps contribute their per-cycle
+    /// [`CycleTree::run_stepped_with`]; idle gaps contribute their per-cycle
     /// backpressure stalls arithmetically (`gap × blocked PEs`) instead of
-    /// being visited.
+    /// being visited. All timing constants (link cycles, reduce path,
+    /// initiation interval) derive from the configuration alone, so that
+    /// cycle-exact parity holds for any operator.
     ///
     /// # Errors
     ///
@@ -314,28 +316,9 @@ impl CycleTree {
     /// # Panics
     ///
     /// Panics if the input list length does not match the topology.
-    pub fn run(&self, rank_inputs: Vec<Vec<Item>>) -> Result<CycleRun, CycleSimError> {
-        self.run_with(&*self.config.op.operator(), rank_inputs)
-    }
-
-    /// Operator-generic variant of [`CycleTree::run`]: PEs combine item
-    /// values with `operator`; the leaf inputs must already be lifted
-    /// accumulators. All timing constants (link cycles, reduce path,
-    /// initiation interval) derive from the configuration alone, so the
-    /// cycle-exact parity with [`CycleTree::run_stepped_with`] holds for any
-    /// operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Deadlock`] under the same conditions as
-    /// [`CycleTree::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input list length does not match the topology.
     pub fn run_with(
         &self,
-        operator: &dyn crate::reduce::ReduceOperator,
+        operator: &dyn ReduceOperator,
         rank_inputs: Vec<Vec<Item>>,
     ) -> Result<CycleRun, CycleSimError> {
         let SimSetup {
@@ -349,9 +332,8 @@ impl CycleTree {
             interval,
             cycle_ns,
         } = self.prepare(rank_inputs);
-        let pe = ProcessingElement { op: self.config.op, timing: self.config.pe_timing };
+        let pe = ProcessingElement { timing: self.config.pe_timing };
         let total_pes = states.len();
-        let pe_fire = |a: &[Item], b: &[Item]| pe.process_with(operator, a, b);
 
         // Ready-queue of (cycle, pe) wake-ups. Every future arrival and
         // scheduled emission is pushed, so the heap is also the exact set of
@@ -406,7 +388,7 @@ impl CycleTree {
                             state.arrivals.drain(..).partition(|&(_, _, is_b)| !is_b);
                         let a: Vec<Item> = a.into_iter().map(|(_, item, _)| item).collect();
                         let b: Vec<Item> = b.into_iter().map(|(_, item, _)| item).collect();
-                        let (outputs, _) = pe_fire(&a, &b);
+                        let (outputs, _) = pe.process_owned(operator, a, b);
                         state.occupancy = 0;
                         pending_total += outputs.len();
                         for (position, item) in outputs.into_iter().enumerate() {
@@ -527,8 +509,9 @@ impl CycleTree {
 
     /// Runs one batch with the **unit-stepped reference engine**: every PE
     /// is swept on every cycle and time advances strictly by one. O(total
-    /// simulated cycles); kept as the ground truth [`CycleTree::run`] is
-    /// verified against, cycle for cycle.
+    /// simulated cycles); kept as the ground truth [`CycleTree::run_with`]
+    /// is verified against, cycle for cycle. `operator` and `rank_inputs` as
+    /// in [`CycleTree::run_with`].
     ///
     /// # Errors
     ///
@@ -538,24 +521,9 @@ impl CycleTree {
     /// # Panics
     ///
     /// Panics if the input list length does not match the topology.
-    pub fn run_stepped(&self, rank_inputs: Vec<Vec<Item>>) -> Result<CycleRun, CycleSimError> {
-        self.run_stepped_with(&*self.config.op.operator(), rank_inputs)
-    }
-
-    /// Operator-generic variant of [`CycleTree::run_stepped`] (see
-    /// [`CycleTree::run_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Deadlock`] under the same conditions as
-    /// [`CycleTree::run_stepped`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input list length does not match the topology.
     pub fn run_stepped_with(
         &self,
-        operator: &dyn crate::reduce::ReduceOperator,
+        operator: &dyn ReduceOperator,
         rank_inputs: Vec<Vec<Item>>,
     ) -> Result<CycleRun, CycleSimError> {
         let SimSetup {
@@ -569,8 +537,7 @@ impl CycleTree {
             interval,
             cycle_ns,
         } = self.prepare(rank_inputs);
-        let pe = ProcessingElement { op: self.config.op, timing: self.config.pe_timing };
-        let pe_fire = |a: &[Item], b: &[Item]| pe.process_with(operator, a, b);
+        let pe = ProcessingElement { timing: self.config.pe_timing };
 
         let mut stall_cycles = 0u64;
         let mut max_occupancy = 0usize;
@@ -596,7 +563,7 @@ impl CycleTree {
                                 state.arrivals.drain(..).partition(|&(_, _, is_b)| !is_b);
                             let a: Vec<Item> = a.into_iter().map(|(_, item, _)| item).collect();
                             let b: Vec<Item> = b.into_iter().map(|(_, item, _)| item).collect();
-                            let (outputs, _) = pe_fire(&a, &b);
+                            let (outputs, _) = pe.process_owned(operator, a, b);
                             state.occupancy = 0;
                             for (position, item) in outputs.into_iter().enumerate() {
                                 let emit = cycle + reduce_cycles + position as u64 * interval;
@@ -703,8 +670,8 @@ mod tests {
     use super::*;
     use crate::batch::Batch;
     use crate::indexset;
-    use crate::inject::{build_rank_inputs, GatheredVector};
-    use crate::reduce::ReduceOp;
+    use crate::inject::{build_rank_inputs_with, GatheredVector};
+    use crate::reduce::{ReduceOp, SumOperator};
     use crate::timing::PeTiming;
 
     fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<Item>> {
@@ -718,7 +685,7 @@ mod tests {
                 ready_ns: 50.0 + 5.0 * f64::from(index.value()),
             })
             .collect();
-        build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
+        build_rank_inputs_with(batch, &gathered, ranks, 2, &SumOperator, &PeTiming::default())
     }
 
     fn tree(ranks: usize) -> ReductionTree {
@@ -726,12 +693,12 @@ mod tests {
         ReductionTree::new(config, ranks).unwrap()
     }
 
-    fn sorted_query_outputs(items: &[Item], op: ReduceOp) -> Vec<(u32, Vec<f32>)> {
+    fn sorted_query_outputs(items: &[Item]) -> Vec<(u32, Vec<f32>)> {
         let run = crate::tree::TreeRun {
             outputs: items.to_vec(),
             stats: crate::tree::TreeStats::default(),
         };
-        run.query_outputs(op).into_iter().map(|(q, v)| (q.0, v)).collect()
+        run.query_outputs_with(&SumOperator).into_iter().map(|(q, v)| (q.0, v)).collect()
     }
 
     #[test]
@@ -739,12 +706,12 @@ mod tests {
         let batch =
             Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 3, 5], indexset![7, 4, 1]]);
         let tree = tree(8);
-        let event = tree.run(inputs_for(&batch, 8));
-        let cycle = CycleTree::new(&tree, 32).unwrap().run(inputs_for(&batch, 8)).unwrap();
-        assert_eq!(
-            sorted_query_outputs(&event.outputs, ReduceOp::Sum),
-            sorted_query_outputs(&cycle.outputs, ReduceOp::Sum),
-        );
+        let event = tree.run_with(&SumOperator, inputs_for(&batch, 8));
+        let cycle = CycleTree::new(&tree, 32)
+            .unwrap()
+            .run_with(&SumOperator, inputs_for(&batch, 8))
+            .unwrap();
+        assert_eq!(sorted_query_outputs(&event.outputs), sorted_query_outputs(&cycle.outputs));
     }
 
     #[test]
@@ -752,7 +719,10 @@ mod tests {
         let sets: Vec<_> = (0..16u32).map(|i| indexset![i % 8, (i + 3) % 8, 8 + i % 8]).collect();
         let batch = Batch::from_index_sets(sets);
         let tree = tree(8);
-        let run = CycleTree::new(&tree, 16).unwrap().run(inputs_for(&batch, 8)).unwrap();
+        let run = CycleTree::new(&tree, 16)
+            .unwrap()
+            .run_with(&SumOperator, inputs_for(&batch, 8))
+            .unwrap();
         assert_eq!(run.stall_cycles, 0, "Table I sizing must avoid backpressure");
         assert!(run.max_occupancy <= 2 * 16);
         assert!(run.completion_cycle > 0);
@@ -766,7 +736,10 @@ mod tests {
         let sets: Vec<_> = (0..16u32).map(|i| indexset![i % 8, (i + 3) % 8, 8 + i % 8]).collect();
         let batch = Batch::from_index_sets(sets);
         let tree = tree(8);
-        let error = CycleTree::new(&tree, 1).unwrap().run(inputs_for(&batch, 8)).unwrap_err();
+        let error = CycleTree::new(&tree, 1)
+            .unwrap()
+            .run_with(&SumOperator, inputs_for(&batch, 8))
+            .unwrap_err();
         match error.clone() {
             CycleSimError::Deadlock { fifo_capacity, .. } => assert_eq!(fifo_capacity, 1),
             other => panic!("expected deadlock, got {other:?}"),
@@ -778,8 +751,11 @@ mod tests {
     fn completion_tracks_event_model_estimate() {
         let batch = Batch::from_index_sets([indexset![0, 7, 13, 21], indexset![2, 9]]);
         let tree = tree(8);
-        let event = tree.run(inputs_for(&batch, 8));
-        let cycle = CycleTree::new(&tree, 32).unwrap().run(inputs_for(&batch, 8)).unwrap();
+        let event = tree.run_with(&SumOperator, inputs_for(&batch, 8));
+        let cycle = CycleTree::new(&tree, 32)
+            .unwrap()
+            .run_with(&SumOperator, inputs_for(&batch, 8))
+            .unwrap();
         // The models make different pipelining assumptions (the cycle model
         // fires on complete windows); they must agree within a small factor.
         let ratio = cycle.completion_ns / event.stats.completion_ns;
@@ -790,8 +766,11 @@ mod tests {
     fn single_query_through_the_root() {
         let batch = Batch::from_index_sets([indexset![0, 7]]);
         let tree = tree(8);
-        let run = CycleTree::new(&tree, 8).unwrap().run(inputs_for(&batch, 8)).unwrap();
-        let outputs = sorted_query_outputs(&run.outputs, ReduceOp::Sum);
+        let run = CycleTree::new(&tree, 8)
+            .unwrap()
+            .run_with(&SumOperator, inputs_for(&batch, 8))
+            .unwrap();
+        let outputs = sorted_query_outputs(&run.outputs);
         assert_eq!(outputs.len(), 1);
         assert_eq!(outputs[0].1, vec![7.0; 4]);
     }
@@ -810,8 +789,8 @@ mod tests {
             Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 3, 5], indexset![7, 4, 1]]);
         let tree = tree(8);
         let sim = CycleTree::new(&tree, 32).unwrap();
-        let fast = sim.run(inputs_for(&batch, 8)).unwrap();
-        let stepped = sim.run_stepped(inputs_for(&batch, 8)).unwrap();
+        let fast = sim.run_with(&SumOperator, inputs_for(&batch, 8)).unwrap();
+        let stepped = sim.run_stepped_with(&SumOperator, inputs_for(&batch, 8)).unwrap();
         assert_eq!(fast, stepped, "event-driven and stepped engines must agree exactly");
     }
 
@@ -820,7 +799,6 @@ mod tests {
         // Cycle-exact parity must hold for operators with wider
         // accumulators too (timing constants derive from the config, not
         // the accumulator width). Mean carries dim+1, TopK carries 2k.
-        use crate::inject::build_rank_inputs_with;
         use crate::reduce::ReduceOperator;
         let batch =
             Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 3, 5], indexset![7, 4, 1]]);
@@ -847,7 +825,7 @@ mod tests {
             assert_eq!(fast, stepped, "engines diverged under {}", operator.name());
             // Same completion as the Sum run on the same batch: the
             // accumulator width must not leak into timing.
-            let sum_run = sim.run(inputs_for(&batch, 8)).unwrap();
+            let sum_run = sim.run_with(&SumOperator, inputs_for(&batch, 8)).unwrap();
             assert_eq!(fast.completion_cycle, sum_run.completion_cycle);
         }
     }
@@ -858,8 +836,8 @@ mod tests {
         let batch = Batch::from_index_sets(sets);
         let tree = tree(8);
         let sim = CycleTree::new(&tree, 1).unwrap();
-        let fast = sim.run(inputs_for(&batch, 8)).unwrap_err();
-        let stepped = sim.run_stepped(inputs_for(&batch, 8)).unwrap_err();
+        let fast = sim.run_with(&SumOperator, inputs_for(&batch, 8)).unwrap_err();
+        let stepped = sim.run_stepped_with(&SumOperator, inputs_for(&batch, 8)).unwrap_err();
         assert_eq!(fast, stepped, "deadlock reports must agree exactly");
     }
 }

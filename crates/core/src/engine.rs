@@ -18,8 +18,6 @@
 //! The tree can be timed by the event-driven model or the cycle-stepped
 //! FIFO model (see [`TreeBackend`]).
 
-use serde::{Deserialize, Serialize};
-
 use fafnir_mem::MemoryConfig;
 
 use crate::batch::Batch;
@@ -30,11 +28,11 @@ use crate::index::{IndexSet, QueryId, VectorIndex};
 use crate::inject::{build_rank_inputs_with, GatheredVector};
 use crate::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
 use crate::placement::EmbeddingSource;
-use crate::reduce::{ReduceOp, ReduceOperator};
+use crate::reduce::ReduceOperator;
 use crate::tree::{ReductionTree, TreeRun, TreeStats};
 
 /// Latency decomposition of a lookup, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyBreakdown {
     /// End-to-end latency: last query output delivered to the host.
     pub total_ns: f64,
@@ -46,7 +44,7 @@ pub struct LatencyBreakdown {
 }
 
 /// Data-movement accounting of a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficStats {
     /// Index references in the batch (`Σ |query|`).
     pub total_references: u64,
@@ -60,7 +58,7 @@ pub struct TrafficStats {
 }
 
 /// Result of one embedding-lookup batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LookupResult {
     /// Finished per-query output vectors, sorted by query id.
     pub outputs: Vec<(QueryId, Vec<f32>)>,
@@ -154,7 +152,7 @@ pub fn nearest_rank_percentile_ns(samples: &[f64], p: f64) -> f64 {
 
 /// Result of a pipelined multi-batch stream (see
 /// [`GatherEngine::lookup_stream`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamResult {
     /// Hardware batches executed.
     pub batches: usize,
@@ -196,7 +194,7 @@ impl StreamResult {
 ///
 /// Both backends produce identical functional outputs; they differ in the
 /// fidelity (and cost) of the timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TreeBackend {
     /// Event-driven tree model: per-item ready times, per-PE op counters,
     /// unbounded buffers (the default).
@@ -220,7 +218,7 @@ pub struct FafnirEngine {
     tree: ReductionTree,
     backend: TreeBackend,
     /// Operator override; `None` instantiates from `config.op`. Lives here
-    /// (not in [`FafnirConfig`], which stays `Copy` + serde) so stateful
+    /// (not in [`FafnirConfig`], which stays a `Copy` value) so stateful
     /// operators like a similarity-search [`crate::reduce::TopKOperator`]
     /// with a per-lookup scoring vector can be injected.
     operator: Option<std::sync::Arc<dyn ReduceOperator>>,
@@ -563,19 +561,8 @@ impl GatherEngine for FafnirEngine {
 }
 
 /// Reference software lookup used to validate engine outputs in tests and
-/// benchmarks: gathers and reduces on the "CPU".
-#[must_use]
-pub fn reference_lookup<S: EmbeddingSource>(
-    batch: &Batch,
-    source: &S,
-    op: ReduceOp,
-) -> Vec<(QueryId, Vec<f32>)> {
-    reference_lookup_with(batch, source, &*op.operator())
-}
-
-/// Operator-generic variant of [`reference_lookup`]: lifts, folds and
-/// finalizes with `operator`, so index-aware operators (`ArgMax`, `TopK`)
-/// validate too.
+/// benchmarks: gathers and reduces on the "CPU", lifting, folding and
+/// finalizing with `operator`.
 #[must_use]
 pub fn reference_lookup_with<S: EmbeddingSource>(
     batch: &Batch,
@@ -594,6 +581,7 @@ mod tests {
     use super::*;
     use crate::indexset;
     use crate::placement::StripedSource;
+    use crate::reduce::ReduceOp;
 
     fn engine() -> FafnirEngine {
         FafnirEngine::new(FafnirConfig::paper_default(), MemoryConfig::ddr4_2400_4ch()).unwrap()
@@ -608,7 +596,7 @@ mod tests {
         result: &LookupResult,
         source: &StripedSource,
     ) {
-        let reference = reference_lookup(batch, source, ReduceOp::Sum);
+        let reference = reference_lookup_with(batch, source, &crate::reduce::SumOperator);
         assert_eq!(result.outputs.len(), reference.len());
         for ((qa, got), (qb, expected)) in result.outputs.iter().zip(&reference) {
             assert_eq!(qa, qb);

@@ -6,12 +6,10 @@
 //! central routing argument), where time went, and how occupancy compares
 //! to the Table I buffer bounds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pe::PeOpCounts;
 
 /// One PE's activity during a traced run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeFiring {
     /// Tree level (0 = leaves).
     pub level: usize,
@@ -46,7 +44,7 @@ impl PeFiring {
 }
 
 /// The complete firing record of one tree traversal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExecutionTrace {
     firings: Vec<PeFiring>,
 }
@@ -129,8 +127,8 @@ mod tests {
     use crate::config::FafnirConfig;
 
     use crate::indexset;
-    use crate::inject::{build_rank_inputs, GatheredVector};
-    use crate::reduce::ReduceOp;
+    use crate::inject::{build_rank_inputs_with, GatheredVector};
+    use crate::reduce::SumOperator;
     use crate::timing::PeTiming;
     use crate::tree::ReductionTree;
 
@@ -148,8 +146,8 @@ mod tests {
             })
             .collect();
         let inputs =
-            build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default());
-        tree.run_traced(inputs)
+            build_rank_inputs_with(batch, &gathered, ranks, 2, &SumOperator, &PeTiming::default());
+        tree.run_traced(&SumOperator, inputs)
     }
 
     #[test]
@@ -179,9 +177,9 @@ mod tests {
             })
             .collect();
         let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
-        let plain = tree.run(inputs.clone());
-        let (traced, _) = tree.run_traced(inputs);
+            build_rank_inputs_with(&batch, &gathered, 8, 2, &SumOperator, &PeTiming::default());
+        let plain = tree.run_with(&SumOperator, inputs.clone());
+        let (traced, _) = tree.run_traced(&SumOperator, inputs);
         assert_eq!(plain, traced);
     }
 

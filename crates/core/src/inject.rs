@@ -18,7 +18,7 @@
 use crate::batch::Batch;
 use crate::index::{IndexSet, VectorIndex};
 use crate::item::{Header, Item, PendingQuery};
-use crate::reduce::{ReduceOp, ReduceOperator};
+use crate::reduce::ReduceOperator;
 use crate::timing::PeTiming;
 
 /// Everything the injector needs to know about one gathered vector.
@@ -38,26 +38,9 @@ pub struct GatheredVector {
 ///
 /// `ranks_per_leaf` must match the tree the items will be fed into: it
 /// determines which ranks share a leaf-PE input side and therefore which
-/// co-resident operands must pre-reduce serially.
-///
-/// # Panics
-///
-/// Panics if any gathered vector names a rank `≥ tree_ranks`.
-#[must_use]
-pub fn build_rank_inputs(
-    batch: &Batch,
-    gathered: &[GatheredVector],
-    tree_ranks: usize,
-    ranks_per_leaf: usize,
-    op: ReduceOp,
-    timing: &PeTiming,
-) -> Vec<Vec<Item>> {
-    build_rank_inputs_with(batch, gathered, tree_ranks, ranks_per_leaf, &*op.operator(), timing)
-}
-
-/// Operator-generic variant of [`build_rank_inputs`]: every gathered vector
-/// is **lifted** into the operator's accumulator encoding at the leaf (so
-/// item values entering the tree are accumulators, not raw vectors), and
+/// co-resident operands must pre-reduce serially. Every gathered vector is
+/// **lifted** into `operator`'s accumulator encoding at the leaf (so item
+/// values entering the tree are accumulators, not raw vectors), and
 /// co-resident operands pre-reduce with the operator's combine.
 ///
 /// # Panics
@@ -142,6 +125,7 @@ mod tests {
     use super::*;
     use crate::index::QueryId;
     use crate::indexset;
+    use crate::reduce::{ReduceOp, SumOperator};
 
     fn gather(indices: &[u32], ranks: usize) -> Vec<GatheredVector> {
         indices
@@ -160,7 +144,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 1], indexset![1, 2]]);
         let gathered = gather(&[0, 1, 2], 8);
         let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+            build_rank_inputs_with(&batch, &gathered, 8, 2, &SumOperator, &PeTiming::default());
         let total: usize = inputs.iter().map(Vec::len).sum();
         assert_eq!(total, 3);
         // Index 1 carries both query entries.
@@ -174,7 +158,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 8]]);
         let gathered = gather(&[0, 8], 8);
         let timing = PeTiming::default();
-        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &timing);
+        let inputs = build_rank_inputs_with(&batch, &gathered, 8, 2, &SumOperator, &timing);
         assert_eq!(inputs[0].len(), 1);
         let item = &inputs[0][0];
         assert_eq!(item.header.indices, indexset![0, 8]);
@@ -191,7 +175,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 8], indexset![0, 1]]);
         let gathered = gather(&[0, 1, 8], 8);
         let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+            build_rank_inputs_with(&batch, &gathered, 8, 2, &SumOperator, &PeTiming::default());
         assert_eq!(inputs[0].len(), 2);
         let pre = inputs[0].iter().find(|i| i.header.indices.len() == 2).unwrap();
         let shared = inputs[0].iter().find(|i| i.header.indices.len() == 1).unwrap();
@@ -206,7 +190,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 1]]);
         let gathered = gather(&[0, 1], 8);
         let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 4, ReduceOp::Sum, &PeTiming::default());
+            build_rank_inputs_with(&batch, &gathered, 8, 4, &SumOperator, &PeTiming::default());
         let items: Vec<&Item> = inputs.iter().flatten().collect();
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].header.indices, indexset![0, 1]);
@@ -217,7 +201,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 5]]);
         let gathered = gather(&[0], 8); // index 5 never gathered
         let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+            build_rank_inputs_with(&batch, &gathered, 8, 2, &SumOperator, &PeTiming::default());
         let total: usize = inputs.iter().map(Vec::len).sum();
         assert_eq!(total, 1);
     }
@@ -246,7 +230,7 @@ mod tests {
         let all: Vec<u32> = batch.unique_indices().iter().map(|v| v.value()).collect();
         let gathered = gather(&all, 4);
         let inputs =
-            build_rank_inputs(&batch, &gathered, 4, 2, ReduceOp::Sum, &PeTiming::default());
+            build_rank_inputs_with(&batch, &gathered, 4, 2, &SumOperator, &PeTiming::default());
         for (rank, items) in inputs.iter().enumerate() {
             let mut seen = std::collections::HashSet::new();
             for item in items {

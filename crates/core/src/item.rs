@@ -14,13 +14,11 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::{IndexSet, QueryId};
 
 /// One entry of the header's `queries` field: a query that needs this item,
 /// plus the indices of that query not yet folded in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PendingQuery {
     /// The query this entry belongs to.
     pub query: QueryId,
@@ -43,7 +41,7 @@ impl PendingQuery {
 }
 
 /// The header of an in-tree item.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Header {
     /// Indices already reduced into the value.
     pub indices: IndexSet,
@@ -111,7 +109,7 @@ impl std::fmt::Display for Header {
 /// slot), `ArgMax` carries `2 × dim` and `TopK` carries `2k`. Headers,
 /// routing and timing never inspect the value, which is what lets one tree
 /// serve every operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Item {
     /// Routing and reduction metadata (shared; copy-on-write when edited).
     pub header: Arc<Header>,

@@ -45,7 +45,7 @@
 //! * [`batch`] — queries, batches, unique-index extraction (Sec. IV-C).
 //! * [`reduce`] — reduction operators: the [`ReduceOperator`] trait with
 //!   per-query accumulator state (Sum/Mean/Max/Min/ArgMax/TopK) and the
-//!   serde-visible [`ReduceOp`] specification.
+//!   [`ReduceOp`] specification that configs name.
 //! * [`pe`], [`timing`] — the PE microarchitecture and Table IV latencies.
 //! * [`tree`], [`inject`] — the reduction tree and leaf-input construction.
 //! * [`exec_trace`] — per-PE firing traces with a waterfall renderer.
@@ -87,8 +87,8 @@ pub mod verify;
 pub use batch::{Batch, Query};
 pub use config::FafnirConfig;
 pub use engine::{
-    nearest_rank_percentile_ns, reference_lookup, reference_lookup_with, FafnirEngine,
-    LatencyBreakdown, LookupResult, StreamResult, TrafficStats, TreeBackend,
+    nearest_rank_percentile_ns, reference_lookup_with, FafnirEngine, LatencyBreakdown,
+    LookupResult, StreamResult, TrafficStats, TreeBackend,
 };
 pub use error::FafnirError;
 pub use index::{IndexSet, QueryId, VectorIndex};

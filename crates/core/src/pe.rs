@@ -15,14 +15,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::item::{Header, Item, PendingQuery};
-use crate::reduce::{ReduceOp, ReduceOperator};
+use crate::reduce::ReduceOperator;
 use crate::timing::PeTiming;
 
 /// Operation counters accumulated by one PE invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeOpCounts {
     /// Header subset comparisons performed by the compute units.
     pub compares: u64,
@@ -56,61 +54,26 @@ impl PeOpCounts {
 /// A processing element with the paper's two-input microarchitecture.
 ///
 /// The PE itself is stateless between invocations; FIFOs and wiring live in
-/// [`crate::tree::ReductionTree`]. `process` is the combinational behaviour
-/// of one firing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// [`crate::tree::ReductionTree`]. [`ProcessingElement::process_owned`] is
+/// the combinational behaviour of one firing.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProcessingElement {
-    /// Reduction operator applied by the compute units.
-    pub op: ReduceOp,
     /// Stage latencies.
     pub timing: PeTiming,
 }
 
 impl ProcessingElement {
-    /// A PE with the given operator and the default FPGA timing.
-    #[must_use]
-    pub fn new(op: ReduceOp) -> Self {
-        Self { op, timing: PeTiming::default() }
-    }
-
     /// Processes inputs A and B, returning merged outputs and op counts.
+    ///
+    /// The compute units combine with `operator`; item values are opaque
+    /// accumulators, and the header dataflow (compare/forward/merge) is
+    /// operator-independent. Both input streams are consumed, and each
+    /// accumulator *moves* into its last surviving output instead of being
+    /// cloned, since items climb the tree by value.
     ///
     /// Items in the result carry `ready_ns` timestamps derived from their
     /// input items plus compare/reduce/forward/merge latencies; the caller
     /// (the tree) applies output-port serialization.
-    #[must_use]
-    pub fn process(&self, a: &[Item], b: &[Item]) -> (Vec<Item>, PeOpCounts) {
-        self.process_with(&*self.op.operator(), a, b)
-    }
-
-    /// Operator-generic variant of [`ProcessingElement::process`]: the
-    /// compute units combine with `operator` instead of instantiating one
-    /// from `self.op`. Item values are treated as opaque accumulators; the
-    /// header dataflow (compare/forward/merge) is operator-independent.
-    #[must_use]
-    pub fn process_with(
-        &self,
-        operator: &dyn ReduceOperator,
-        a: &[Item],
-        b: &[Item],
-    ) -> (Vec<Item>, PeOpCounts) {
-        let mut counts =
-            PeOpCounts { max_input_items: a.len().max(b.len()) as u64, ..PeOpCounts::default() };
-        let mut raw: Vec<RawOutput> = Vec::new();
-        self.scan_side(a, b, 0, a.len(), &mut raw, &mut counts);
-        self.scan_side(b, a, a.len(), 0, &mut raw, &mut counts);
-        counts.raw_outputs = raw.len() as u64;
-        let merged = self.merge_unit(raw, &mut counts);
-        counts.outputs = merged.len() as u64;
-        let outputs = self.materialize_ref(operator, merged, a, b);
-        (outputs, counts)
-    }
-
-    /// Owned-input variant of [`ProcessingElement::process_with`]: consumes
-    /// both input streams and *moves* each accumulator into its last
-    /// surviving output instead of cloning it. Bit-identical to the
-    /// borrowing path (the same combines run on the same operands in the
-    /// same order); the tree uses this since items climb levels by value.
     #[must_use]
     pub fn process_owned(
         &self,
@@ -154,7 +117,7 @@ impl ProcessingElement {
     /// compared, per pending-query entry, against all items of `against`.
     ///
     /// Outputs are *planned*, not built: headers and timestamps are final,
-    /// but accumulators are deferred to [`ProcessingElement::materialize`]
+    /// but accumulators are deferred to `materialize_owned`
     /// so that duplicates dropped by the merge unit never pay a combine.
     /// `from_base`/`against_base` map slice positions to the shared input
     /// index space (side A first, then side B).
@@ -348,42 +311,6 @@ impl ProcessingElement {
         merged
     }
 
-    /// Builds the final items for the merge survivors over borrowed inputs,
-    /// running one combine per surviving reduce (duplicates dropped by the
-    /// merge unit never pay one). Every accumulator is cloned from its `x`
-    /// operand — bit-identical to the owned path, which merely elides the
-    /// clone when it can move the buffer instead.
-    fn materialize_ref(
-        &self,
-        operator: &dyn ReduceOperator,
-        merged: Vec<RawOutput>,
-        a: &[Item],
-        b: &[Item],
-    ) -> Vec<Item> {
-        let value_of = |index: usize| {
-            if index < a.len() {
-                &a[index].value
-            } else {
-                &b[index - a.len()].value
-            }
-        };
-        let merge_ns = self.timing.merge_cycles as f64 * self.timing.cycle_ns();
-        merged
-            .into_iter()
-            .map(|out| {
-                let value = match out.source {
-                    RawSource::Reduce { x, y } => {
-                        let mut acc = value_of(x).clone();
-                        operator.combine_into(&mut acc, value_of(y));
-                        acc
-                    }
-                    RawSource::Forward { x } => value_of(x).clone(),
-                };
-                Item { header: out.header, value, ready_ns: out.ready_ns + merge_ns }
-            })
-            .collect()
-    }
-
     /// Owned-input materialization: an input buffer whose last remaining use
     /// this is is *moved* out instead of cloned, so the common
     /// symmetric-pair reduction (one surviving reduce per input pair) is
@@ -467,8 +394,13 @@ mod tests {
         Item::new(Header::leaf(VectorIndex(index), queries), vec![fill; 4])
     }
 
-    fn pe() -> ProcessingElement {
-        ProcessingElement::new(ReduceOp::Sum)
+    /// Fires a default-timing PE on A and B under `operator`.
+    fn fire(operator: &dyn ReduceOperator, a: Vec<Item>, b: Vec<Item>) -> (Vec<Item>, PeOpCounts) {
+        ProcessingElement::default().process_owned(operator, a, b)
+    }
+
+    fn sum(a: Vec<Item>, b: Vec<Item>) -> (Vec<Item>, PeOpCounts) {
+        fire(&crate::reduce::SumOperator, a, b)
     }
 
     #[test]
@@ -478,7 +410,7 @@ mod tests {
         // (Query letters a..d map to ids 0..3.)
         let a = leaf(50, 1.0, &[(1, &[83, 94]), (2, &[11, 94, 26])]);
         let b = leaf(11, 2.0, &[(0, &[44, 32, 83, 77]), (2, &[50, 94, 26])]);
-        let (out, counts) = pe().process(&[a], &[b]);
+        let (out, counts) = sum(vec![a], vec![b]);
         // Raw: forward(A,b), reduce(A,B,c), forward(B,a), reduce(B,A,c) → the
         // two reduces merge: three unique outputs (Fig. 6c).
         assert_eq!(counts.raw_outputs, 4);
@@ -500,7 +432,7 @@ mod tests {
     fn unmatched_items_forward_with_their_entries() {
         let a = leaf(1, 1.0, &[(0, &[7])]);
         let b = leaf(2, 2.0, &[(1, &[9])]);
-        let (out, counts) = pe().process(&[a], &[b]);
+        let (out, counts) = sum(vec![a], vec![b]);
         assert_eq!(counts.reduces, 0);
         assert_eq!(counts.forwards, 2);
         assert_eq!(out.len(), 2);
@@ -511,7 +443,7 @@ mod tests {
     fn one_sided_input_forwards_automatically() {
         // Like PE (4|15) in Fig. 6: only one input exists.
         let a = leaf(4, 1.0, &[(3, &[15, 77])]);
-        let (out, counts) = pe().process(&[a], &[]);
+        let (out, counts) = sum(vec![a], Vec::new());
         assert_eq!(out.len(), 1);
         assert_eq!(counts.forwards, 1);
         assert_eq!(out[0].header.indices, indexset![4]);
@@ -524,7 +456,7 @@ mod tests {
         // merge unit folds them into one output with two query entries.
         let a = leaf(5, 1.0, &[(0, &[6]), (1, &[6])]);
         let b = leaf(6, 2.0, &[(0, &[5]), (1, &[5])]);
-        let (out, counts) = pe().process(&[a], &[b]);
+        let (out, counts) = sum(vec![a], vec![b]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].header.queries.len(), 2);
         assert!(out[0].header.queries.iter().all(|p| p.is_complete()));
@@ -544,7 +476,7 @@ mod tests {
             vec![3.0; 4],
         );
         let other = leaf(9, 1.0, &[(1, &[10])]);
-        let (out, _) = pe().process(&[done], &[other]);
+        let (out, _) = sum(vec![done], vec![other]);
         let carried = out
             .iter()
             .find(|item| item.header.indices == indexset![1, 2])
@@ -557,7 +489,7 @@ mod tests {
         // Table I invariant: outputs ≤ min(nm + n + m, B).
         let a: Vec<Item> = (0..4).map(|i| leaf(i, 1.0, &[(i, &[i + 100])])).collect();
         let b: Vec<Item> = (0..4).map(|i| leaf(i + 100, 2.0, &[(i, &[i])])).collect();
-        let (out, _) = pe().process(&a, &b);
+        let (out, _) = sum(a, b);
         assert!(out.len() <= 4, "got {} outputs", out.len());
         assert!(out.iter().all(|item| item.header.queries.iter().all(PendingQuery::is_complete)));
     }
@@ -566,7 +498,7 @@ mod tests {
     fn reduce_timing_dominates_forward_timing() {
         let a = leaf(1, 1.0, &[(0, &[2])]).ready_at(100.0);
         let b = leaf(2, 1.0, &[(0, &[1])]).ready_at(50.0);
-        let (out, _) = pe().process(&[a], &[b]);
+        let (out, _) = sum(vec![a], vec![b]);
         let timing = PeTiming::default();
         let expected =
             100.0 + timing.reduce_latency_ns() + timing.merge_cycles as f64 * timing.cycle_ns();
@@ -577,7 +509,7 @@ mod tests {
     fn headers_keep_invariant_through_processing() {
         let a = leaf(3, 1.0, &[(0, &[4, 8]), (1, &[4])]);
         let b = leaf(4, 2.0, &[(0, &[3, 8]), (1, &[3])]);
-        let (out, _) = pe().process(&[a], &[b]);
+        let (out, _) = sum(vec![a], vec![b]);
         for item in &out {
             assert!(item.header.invariant_holds(), "violated: {}", item.header);
         }
@@ -610,7 +542,7 @@ mod tests {
                             }
                         })
                         .collect();
-                    let (out, _) = pe().process(&a, &b);
+                    let (out, _) = sum(a, b);
                     let model = BufferModel::paper(32);
                     prop_assert!(
                         out.len() <= model.max_outputs(n, m),
@@ -628,20 +560,18 @@ mod tests {
 
     #[test]
     fn max_reduce_produces_elementwise_max() {
-        let pe = ProcessingElement::new(ReduceOp::Max);
         let a = leaf(1, 5.0, &[(0, &[2])]);
         let b = leaf(2, 3.0, &[(0, &[1])]);
-        let (out, _) = pe.process(&[a], &[b]);
+        let (out, _) = fire(&crate::reduce::MaxOperator, vec![a], vec![b]);
         assert_eq!(out[0].value, vec![5.0; 4]);
     }
 
     #[test]
-    fn process_with_runs_an_injected_operator() {
+    fn process_owned_runs_an_injected_operator() {
         // A top-2 operator passed explicitly: item values are (score, index)
         // accumulators, and the PE merges them like any other value.
         use crate::reduce::TopKOperator;
         let operator = TopKOperator::new(2);
-        let pe = ProcessingElement::new(ReduceOp::TopK { k: 2 });
         let a = Item::new(
             Header::leaf(VectorIndex(1), vec![PendingQuery::new(QueryId(0), indexset![2])]),
             operator.lift(VectorIndex(1), &[5.0; 4]),
@@ -650,7 +580,7 @@ mod tests {
             Header::leaf(VectorIndex(2), vec![PendingQuery::new(QueryId(0), indexset![1])]),
             operator.lift(VectorIndex(2), &[3.0; 4]),
         );
-        let (out, counts) = pe.process_with(&operator, &[a], &[b]);
+        let (out, counts) = fire(&operator, vec![a], vec![b]);
         assert_eq!(counts.reduces, 2);
         assert_eq!(out.len(), 1);
         let decoded = TopKOperator::decode(&out[0].value);

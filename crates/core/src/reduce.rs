@@ -14,12 +14,12 @@
 //!   [`ReduceOperator::acc_dim`]), how a gathered vector is **lifted** into
 //!   one, an associative/commutative **combine**, and a root-side
 //!   **finalize**. Because accumulators are plain `Vec<f32>`, they travel
-//!   through [`crate::item::Item`], the PE merge unit, both tree timing
-//!   engines and serde without any structural change.
-//! * [`ReduceOp`] — the serde-visible operator *specification* used by
-//!   configs, CLIs and reports. It stays a small `Copy` enum; its
-//!   [`ReduceOp::operator`] adapter instantiates the trait object, so every
-//!   existing config keeps working byte-for-byte.
+//!   through [`crate::item::Item`], the PE merge unit and both tree timing
+//!   engines without any structural change.
+//! * [`ReduceOp`] — the operator *specification* named by configs, CLIs and
+//!   reports: a small `Copy` enum with a parse/display syntax whose only
+//!   method, [`ReduceOp::operator`], instantiates the trait object. Every
+//!   reduction runs through that trait object.
 //!
 //! Beyond the paper's element-wise family, [`ArgMaxOperator`] tracks which
 //!   index supplied each element-wise maximum, and [`TopKOperator`] keeps a
@@ -29,8 +29,6 @@
 //!   while DRAM still pays for full rows.
 
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use crate::index::VectorIndex;
 
@@ -547,24 +545,22 @@ impl ReduceOperator for TopKOperator {
     }
 }
 
-/// An element-wise reduction operator.
-///
-/// This is the serde-visible *specification*; [`ReduceOp::operator`]
-/// instantiates the matching [`ReduceOperator`]. The legacy element-wise
-/// helpers ([`ReduceOp::combine_into`] and friends) are kept as thin
-/// adapters so existing callers, configs and byte-stable reports are
-/// untouched.
+/// A reduction operator *specification*: what configs, CLIs and reports
+/// name. It carries no arithmetic; [`ReduceOp::operator`] instantiates the
+/// matching [`ReduceOperator`], which every reduction runs through.
 ///
 /// # Examples
 ///
 /// ```
-/// use fafnir_core::ReduceOp;
+/// use fafnir_core::{ReduceOp, VectorIndex};
 ///
-/// assert_eq!(ReduceOp::Sum.combine(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-/// assert_eq!(ReduceOp::Max.combine(&[1.0, 5.0], &[3.0, 4.0]), vec![3.0, 5.0]);
+/// let sum = ReduceOp::Sum.operator();
+/// let mut acc = sum.lift(VectorIndex(0), &[1.0, 2.0]);
+/// sum.combine_into(&mut acc, &sum.lift(VectorIndex(1), &[3.0, 4.0]));
+/// assert_eq!(sum.finalize(&acc), vec![4.0, 6.0]);
 /// assert_eq!("topk:4".parse::<ReduceOp>(), Ok(ReduceOp::TopK { k: 4 }));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReduceOp {
     /// Element-wise sum (the paper's default).
     #[default]
@@ -599,78 +595,6 @@ impl ReduceOp {
             ReduceOp::Min => Arc::new(MinOperator),
             ReduceOp::ArgMax => Arc::new(ArgMaxOperator),
             ReduceOp::TopK { k } => Arc::new(TopKOperator::new(k)),
-        }
-    }
-
-    /// Combines `b` into `a` element-wise (accumulator semantics for
-    /// `ArgMax`/`TopK`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn combine_into(self, a: &mut [f32], b: &[f32]) {
-        match self {
-            ReduceOp::Sum | ReduceOp::Mean => add_assign_unrolled(a, b),
-            ReduceOp::Max => MaxOperator.combine_into(a, b),
-            ReduceOp::Min => MinOperator.combine_into(a, b),
-            ReduceOp::ArgMax => ArgMaxOperator.combine_into(a, b),
-            ReduceOp::TopK { .. } => self.operator().combine_into(a, b),
-        }
-    }
-
-    /// Returns the combination of two operands as a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[must_use]
-    pub fn combine(self, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut out = a.to_vec();
-        self.combine_into(&mut out, b);
-        out
-    }
-
-    /// Applies the legacy root-side finalization: for `Mean`, divides by
-    /// the number of reduced vectors; identity otherwise. `ArgMax`/`TopK`
-    /// finalize through [`ReduceOperator::finalize`] instead (their
-    /// accumulators carry their own state), so this is a no-op for them.
-    pub fn finalize(self, value: &mut [f32], count: usize) {
-        if self == ReduceOp::Mean && count > 0 {
-            let scale = 1.0 / count as f32;
-            for x in value.iter_mut() {
-                *x *= scale;
-            }
-        }
-    }
-
-    /// Reference reduction of many vectors (used to validate tree outputs).
-    ///
-    /// For the element-wise operators the inputs are raw vectors; for
-    /// `ArgMax`/`TopK` they must already be **lifted accumulators** (this
-    /// path cannot lift — it has no indices; see
-    /// [`crate::Batch::reference_outputs_with`] for the index-aware
-    /// reference).
-    ///
-    /// Returns `None` for an empty input.
-    #[must_use]
-    pub fn reduce_all<'a, I>(self, vectors: I) -> Option<Vec<f32>>
-    where
-        I: IntoIterator<Item = &'a [f32]>,
-    {
-        let mut iter = vectors.into_iter();
-        let first = iter.next()?;
-        let mut acc = first.to_vec();
-        let mut count = 1;
-        for v in iter {
-            self.combine_into(&mut acc, v);
-            count += 1;
-        }
-        match self {
-            ReduceOp::ArgMax | ReduceOp::TopK { .. } => Some(self.operator().finalize(&acc)),
-            _ => {
-                self.finalize(&mut acc, count);
-                Some(acc)
-            }
         }
     }
 }
@@ -717,35 +641,43 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `a ⊕ b` through the operator `op` names, on raw (unlifted) values.
+    fn combine(op: ReduceOp, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut out = a.to_vec();
+        op.operator().combine_into(&mut out, b);
+        out
+    }
+
     #[test]
     fn sum_combines_elementwise() {
-        assert_eq!(ReduceOp::Sum.combine(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
+        assert_eq!(combine(ReduceOp::Sum, &[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
     }
 
     #[test]
     fn max_and_min_select_extremes() {
-        assert_eq!(ReduceOp::Max.combine(&[1.0, 5.0], &[3.0, 4.0]), vec![3.0, 5.0]);
-        assert_eq!(ReduceOp::Min.combine(&[1.0, 5.0], &[3.0, 4.0]), vec![1.0, 4.0]);
+        assert_eq!(combine(ReduceOp::Max, &[1.0, 5.0], &[3.0, 4.0]), vec![3.0, 5.0]);
+        assert_eq!(combine(ReduceOp::Min, &[1.0, 5.0], &[3.0, 4.0]), vec![1.0, 4.0]);
     }
 
     #[test]
     fn mean_finalizes_at_root() {
-        let mut acc = ReduceOp::Mean.combine(&[2.0], &[4.0]);
-        ReduceOp::Mean.finalize(&mut acc, 2);
-        assert_eq!(acc, vec![3.0]);
+        let mean = ReduceOp::Mean.operator();
+        let mut acc = mean.lift(VectorIndex(0), &[2.0]);
+        mean.combine_into(&mut acc, &mean.lift(VectorIndex(1), &[4.0]));
+        assert_eq!(mean.finalize(&acc), vec![3.0]);
     }
 
     #[test]
-    fn reduce_all_handles_empty_and_single() {
-        assert_eq!(ReduceOp::Sum.reduce_all(std::iter::empty()), None);
-        let single = [1.5f32, 2.5];
-        assert_eq!(ReduceOp::Sum.reduce_all([single.as_slice()]), Some(vec![1.5, 2.5]));
+    fn combine_partials_handles_empty_and_single() {
+        let sum = ReduceOp::Sum.operator();
+        assert_eq!(combine_partials(&*sum, std::iter::empty()), None);
+        assert_eq!(combine_partials(&*sum, [vec![1.5f32, 2.5]]), Some(vec![1.5, 2.5]));
     }
 
     #[test]
     #[should_panic(expected = "equal dimension")]
     fn mismatched_dimensions_panic() {
-        let _ = ReduceOp::Sum.combine(&[1.0], &[1.0, 2.0]);
+        let _ = combine(ReduceOp::Sum, &[1.0], &[1.0, 2.0]);
     }
 
     #[test]
@@ -993,15 +925,14 @@ mod tests {
                 proptest::collection::vec(-100.0f32..100.0, 4), 2..6)
         ) {
             // Left fold == balanced fold for Sum up to float tolerance.
-            let slices: Vec<&[f32]> = values.iter().map(Vec::as_slice).collect();
-            let linear = ReduceOp::Sum.reduce_all(slices.iter().copied()).unwrap();
+            let linear = combine_partials(&SumOperator, values.iter().cloned()).unwrap();
             // Balanced: reduce pairs, then reduce results.
             let mut layer: Vec<Vec<f32>> = values.clone();
             while layer.len() > 1 {
                 let mut next = Vec::new();
                 for chunk in layer.chunks(2) {
                     if chunk.len() == 2 {
-                        next.push(ReduceOp::Sum.combine(&chunk[0], &chunk[1]));
+                        next.push(combine(ReduceOp::Sum, &chunk[0], &chunk[1]));
                     } else {
                         next.push(chunk[0].clone());
                     }
@@ -1018,10 +949,10 @@ mod tests {
             a in proptest::collection::vec(-100.0f32..100.0, 8),
             b in proptest::collection::vec(-100.0f32..100.0, 8),
         ) {
-            let ab = ReduceOp::Max.combine(&a, &b);
-            let ba = ReduceOp::Max.combine(&b, &a);
+            let ab = combine(ReduceOp::Max, &a, &b);
+            let ba = combine(ReduceOp::Max, &b, &a);
             prop_assert_eq!(&ab, &ba);
-            let aa = ReduceOp::Max.combine(&a, &a);
+            let aa = combine(ReduceOp::Max, &a, &a);
             prop_assert_eq!(aa, a);
         }
 
@@ -1075,24 +1006,6 @@ mod tests {
                     left.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     right.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "operator {} not associative", op.name()
-                );
-            }
-        }
-
-        #[test]
-        fn legacy_enum_and_trait_fold_agree_bitwise(pairs in lift_inputs(6, 1..6)) {
-            // The thin-adapter guarantee for the element-wise family: the
-            // legacy enum fold and the trait fold produce byte-identical
-            // outputs.
-            for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min, ReduceOp::Mean] {
-                let operator = op.operator();
-                let trait_out = operator.finalize(&fold(&*operator, &pairs));
-                let slices: Vec<&[f32]> = pairs.iter().map(|(_, v)| v.as_slice()).collect();
-                let legacy_out = op.reduce_all(slices.iter().copied()).unwrap();
-                prop_assert_eq!(
-                    trait_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    legacy_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "operator {} diverged from legacy path", op
                 );
             }
         }

@@ -9,16 +9,15 @@
 //! latencies, output ports serialize their items, and links add transfer
 //! time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::FafnirConfig;
 use crate::error::FafnirError;
 use crate::index::QueryId;
 use crate::item::Item;
 use crate::pe::{PeOpCounts, ProcessingElement};
+use crate::reduce::ReduceOperator;
 
 /// Aggregated statistics of one tree traversal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TreeStats {
     /// Summed PE operation counters.
     pub ops: PeOpCounts,
@@ -38,7 +37,7 @@ pub struct TreeStats {
 }
 
 /// Result of running a batch through the tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeRun {
     /// Items emitted by the root PE.
     pub outputs: Vec<Item>,
@@ -47,37 +46,15 @@ pub struct TreeRun {
 }
 
 impl TreeRun {
-    /// Extracts the finished per-query values from the root outputs,
-    /// applying the operator's finalization (e.g. mean division).
+    /// Extracts the finished per-query values from the root outputs. Root
+    /// items hold accumulators, which are finalized through
+    /// [`ReduceOperator::finalize`] (e.g. the mean division using the count
+    /// carried in the accumulator).
     ///
     /// Queries whose reduction never completed are omitted (they are counted
     /// in [`TreeStats::incomplete_outputs`]).
     #[must_use]
-    pub fn query_outputs(&self, op: crate::reduce::ReduceOp) -> Vec<(QueryId, Vec<f32>)> {
-        let mut results: Vec<(QueryId, Vec<f32>)> = Vec::new();
-        for item in &self.outputs {
-            for pending in &item.header.queries {
-                if pending.is_complete() {
-                    let mut value = item.value.clone();
-                    op.finalize(&mut value, item.header.indices.len());
-                    results.push((pending.query, value));
-                }
-            }
-        }
-        results.sort_by_key(|(query, _)| *query);
-        results.dedup_by_key(|(query, _)| *query);
-        results
-    }
-
-    /// Operator-generic variant of [`TreeRun::query_outputs`]: root items
-    /// hold accumulators, which are finalized through
-    /// [`crate::reduce::ReduceOperator::finalize`] (e.g. the mean division
-    /// using the count carried in the accumulator).
-    #[must_use]
-    pub fn query_outputs_with(
-        &self,
-        operator: &dyn crate::reduce::ReduceOperator,
-    ) -> Vec<(QueryId, Vec<f32>)> {
+    pub fn query_outputs_with(&self, operator: &dyn ReduceOperator) -> Vec<(QueryId, Vec<f32>)> {
         let mut results: Vec<(QueryId, Vec<f32>)> = Vec::new();
         for item in &self.outputs {
             for pending in &item.header.queries {
@@ -110,7 +87,7 @@ impl TreeRun {
 }
 
 /// The FAFNIR reduction tree over a memory system's ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReductionTree {
     config: FafnirConfig,
     leaf_count: usize,
@@ -165,58 +142,44 @@ impl ReductionTree {
         self.leaf_count.trailing_zeros() as usize + 1
     }
 
-    /// Runs one hardware batch through the tree.
+    /// Runs one hardware batch through the tree, its PEs combining item
+    /// values with `operator`.
     ///
     /// `rank_inputs[r]` holds the items gathered from global rank `r` (in
     /// this tree's rank ordering), with `ready_ns` set to their memory
-    /// completion times.
+    /// completion times. The items must already be lifted accumulators (see
+    /// [`crate::inject::build_rank_inputs_with`]). Timing does not depend on
+    /// the operator — link and PE latencies derive from the configured
+    /// `vector_dim`, not the accumulator width.
     ///
     /// # Panics
     ///
     /// Panics if `rank_inputs.len() != leaf_count × ranks_per_leaf`.
     #[must_use]
-    pub fn run(&self, rank_inputs: Vec<Vec<Item>>) -> TreeRun {
-        self.run_inner(&*self.config.op.operator(), rank_inputs, None)
-    }
-
-    /// Operator-generic variant of [`ReductionTree::run`]: PEs combine item
-    /// values with `operator` instead of the configured [`crate::ReduceOp`]. The
-    /// leaf inputs must already be lifted accumulators (see
-    /// [`crate::inject::build_rank_inputs_with`]). Timing is unaffected —
-    /// link and PE latencies derive from the configured `vector_dim`, not
-    /// the accumulator width.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ReductionTree::run`].
-    #[must_use]
-    pub fn run_with(
-        &self,
-        operator: &dyn crate::reduce::ReduceOperator,
-        rank_inputs: Vec<Vec<Item>>,
-    ) -> TreeRun {
+    pub fn run_with(&self, operator: &dyn ReduceOperator, rank_inputs: Vec<Vec<Item>>) -> TreeRun {
         self.run_inner(operator, rank_inputs, None)
     }
 
-    /// Like [`ReductionTree::run`], but also records a per-PE firing trace
-    /// (see [`crate::exec_trace`]).
+    /// Like [`ReductionTree::run_with`], but also records a per-PE firing
+    /// trace (see [`crate::exec_trace`]).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`ReductionTree::run`].
+    /// Panics under the same conditions as [`ReductionTree::run_with`].
     #[must_use]
     pub fn run_traced(
         &self,
+        operator: &dyn ReduceOperator,
         rank_inputs: Vec<Vec<Item>>,
     ) -> (TreeRun, crate::exec_trace::ExecutionTrace) {
         let mut trace = crate::exec_trace::ExecutionTrace::new();
-        let run = self.run_inner(&*self.config.op.operator(), rank_inputs, Some(&mut trace));
+        let run = self.run_inner(operator, rank_inputs, Some(&mut trace));
         (run, trace)
     }
 
     fn run_inner(
         &self,
-        operator: &dyn crate::reduce::ReduceOperator,
+        operator: &dyn ReduceOperator,
         rank_inputs: Vec<Vec<Item>>,
         mut trace: Option<&mut crate::exec_trace::ExecutionTrace>,
     ) -> TreeRun {
@@ -225,7 +188,7 @@ impl ReductionTree {
             self.leaf_count * self.config.ranks_per_leaf,
             "one input list per rank required"
         );
-        let pe = ProcessingElement { op: self.config.op, timing: self.config.pe_timing };
+        let pe = ProcessingElement { timing: self.config.pe_timing };
         let mut stats = TreeStats { levels: self.levels(), ..TreeStats::default() };
 
         // Leaf level: each PE joins the streams of its ranks, split into the
@@ -291,7 +254,7 @@ impl ReductionTree {
     fn fire_pe(
         &self,
         pe: &ProcessingElement,
-        operator: &dyn crate::reduce::ReduceOperator,
+        operator: &dyn ReduceOperator,
         a: Vec<Item>,
         b: Vec<Item>,
         stats: &mut TreeStats,
@@ -348,7 +311,7 @@ mod tests {
     use crate::index::VectorIndex;
     use crate::indexset;
     use crate::item::Header;
-    use crate::reduce::ReduceOp;
+    use crate::reduce::{ReduceOp, SumOperator};
 
     /// Distributes a batch's leaf items over `ranks` ranks by `index mod
     /// ranks`, with synthetic values `[index; dim]`, honouring the per-side
@@ -369,12 +332,12 @@ mod tests {
                 ready_ns: 0.0,
             })
             .collect();
-        crate::inject::build_rank_inputs(
+        crate::inject::build_rank_inputs_with(
             batch,
             &gathered,
             ranks,
             ranks_per_leaf,
-            ReduceOp::Sum,
+            &SumOperator,
             &crate::timing::PeTiming::default(),
         )
     }
@@ -390,10 +353,10 @@ mod tests {
 
     fn check_against_reference(batch: &Batch, ranks: usize) {
         let tree = tree(ranks);
-        let run = tree.run(rank_inputs(batch, ranks, 4));
+        let run = tree.run_with(&SumOperator, rank_inputs(batch, ranks, 4));
         assert_eq!(run.stats.incomplete_outputs, 0);
-        let outputs = run.query_outputs(ReduceOp::Sum);
-        let reference = batch.reference_outputs(ReduceOp::Sum, |i| vec![i.value() as f32; 4]);
+        let outputs = run.query_outputs_with(&SumOperator);
+        let reference = batch.reference_outputs_with(&SumOperator, |i| vec![i.value() as f32; 4]);
         assert_eq!(outputs.len(), batch.len());
         for ((qa, got), (qb, expected)) in outputs.iter().zip(&reference) {
             assert_eq!(qa, qb);
@@ -429,12 +392,12 @@ mod tests {
         // needed above the leaf level.
         let batch = Batch::from_index_sets([indexset![0, 1]]);
         let tree = tree(32);
-        let run = tree.run(rank_inputs(&batch, 32, 4));
+        let run = tree.run_with(&SumOperator, rank_inputs(&batch, 32, 4));
         // Both compare directions fire the reduce; the merge unit folds them
         // into one output (hardware-faithful counting).
         assert_eq!(run.stats.ops.reduces, 2);
         assert_eq!(run.stats.ops.merges, 1);
-        let outputs = run.query_outputs(ReduceOp::Sum);
+        let outputs = run.query_outputs_with(&SumOperator);
         assert_eq!(outputs[0].1, vec![1.0; 4]);
     }
 
@@ -464,9 +427,9 @@ mod tests {
         let headers = batch.leaf_headers();
         let (index, pending) = headers.into_iter().find(|(i, _)| *i == VectorIndex(0)).unwrap();
         inputs[0].push(Item::new(Header::leaf(index, pending), vec![0.0; 4]));
-        let run = tree.run(inputs);
+        let run = tree.run_with(&SumOperator, inputs);
         assert_eq!(run.stats.incomplete_outputs, 1);
-        assert!(run.query_outputs(ReduceOp::Sum).is_empty());
+        assert!(run.query_outputs_with(&SumOperator).is_empty());
     }
 
     #[test]
@@ -480,8 +443,8 @@ mod tests {
     fn completion_time_grows_with_tree_depth() {
         let batch = Batch::from_index_sets([indexset![0, 1]]);
         // Same batch, deeper tree (more ranks): completion no earlier.
-        let shallow = tree(4).run(rank_inputs(&batch, 4, 4));
-        let deep = tree(32).run(rank_inputs(&batch, 32, 4));
+        let shallow = tree(4).run_with(&SumOperator, rank_inputs(&batch, 4, 4));
+        let deep = tree(32).run_with(&SumOperator, rank_inputs(&batch, 32, 4));
         assert!(deep.stats.completion_ns >= shallow.stats.completion_ns);
     }
 
@@ -492,8 +455,8 @@ mod tests {
         let tree = ReductionTree::new(config, 8).unwrap();
         assert_eq!(tree.pe_count(), 15);
         let batch = Batch::from_index_sets([indexset![0, 1, 6, 7]]);
-        let run = tree.run(rank_inputs_ratio(&batch, 8, 4, 1));
-        let outputs = run.query_outputs(ReduceOp::Sum);
+        let run = tree.run_with(&SumOperator, rank_inputs_ratio(&batch, 8, 4, 1));
+        let outputs = run.query_outputs_with(&SumOperator);
         assert_eq!(outputs[0].1, vec![14.0; 4]);
     }
 
@@ -504,33 +467,9 @@ mod tests {
         let tree = ReductionTree::new(config, 16).unwrap();
         assert_eq!(tree.pe_count(), 7);
         let batch = Batch::from_index_sets([indexset![0, 5, 10, 15]]);
-        let run = tree.run(rank_inputs_ratio(&batch, 16, 4, 4));
-        let outputs = run.query_outputs(ReduceOp::Sum);
+        let run = tree.run_with(&SumOperator, rank_inputs_ratio(&batch, 16, 4, 4));
+        let outputs = run.query_outputs_with(&SumOperator);
         assert_eq!(outputs[0].1, vec![30.0; 4]);
-    }
-
-    #[test]
-    fn trait_path_sum_is_byte_identical_to_legacy() {
-        // The thin-adapter guarantee end-to-end: running the tree through
-        // the legacy enum path and through an explicit SumOperator must
-        // produce byte-identical outputs on a sharing-heavy batch.
-        let sets: Vec<_> = (0..12u32).map(|i| indexset![i % 8, (i + 3) % 8, 16 + i % 4]).collect();
-        let batch = Batch::from_index_sets(sets);
-        let tree = tree(8);
-        let legacy = tree.run(rank_inputs(&batch, 8, 4));
-        let operator = ReduceOp::Sum.operator();
-        let traited = tree.run_with(&*operator, rank_inputs(&batch, 8, 4));
-        let legacy_out = legacy.query_outputs(ReduceOp::Sum);
-        let traited_out = traited.query_outputs_with(&*operator);
-        assert_eq!(legacy_out.len(), traited_out.len());
-        for ((qa, a), (qb, b)) in legacy_out.iter().zip(&traited_out) {
-            assert_eq!(qa, qb);
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-        assert_eq!(legacy.stats, traited.stats);
     }
 
     #[test]
@@ -598,7 +537,7 @@ mod tests {
         let sets: Vec<_> = (0..16u32).map(|i| indexset![i % 8, (i + 3) % 8, 16 + i % 4]).collect();
         let batch = Batch::from_index_sets(sets);
         let tree = tree(8);
-        let run = tree.run(rank_inputs(&batch, 8, 4));
+        let run = tree.run_with(&SumOperator, rank_inputs(&batch, 8, 4));
         assert!(
             run.stats.max_buffer_items <= 16 + batch.unique_indices().len() as u64,
             "buffer occupancy {} out of range",

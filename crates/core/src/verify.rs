@@ -7,15 +7,13 @@
 //! the engine, compares every output against the software reference, and
 //! checks the invariants; the CLI exposes it as `fafnir selftest`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::Batch;
-use crate::engine::{reference_lookup, FafnirEngine};
+use crate::engine::{reference_lookup_with, FafnirEngine};
 use crate::pipeline::GatherEngine;
 use crate::placement::EmbeddingSource;
 
 /// One discrepancy found during verification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Discrepancy {
     /// Index of the offending batch in the input list.
     pub batch_index: usize,
@@ -30,7 +28,7 @@ impl std::fmt::Display for Discrepancy {
 }
 
 /// Outcome of a verification run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VerificationReport {
     /// Batches checked.
     pub batches: usize,
@@ -92,7 +90,7 @@ pub fn verify_engine<S: EmbeddingSource>(
                 continue;
             }
         };
-        let reference = reference_lookup(batch, source, engine.config().op);
+        let reference = reference_lookup_with(batch, source, &*engine.active_operator());
         if result.outputs.len() != reference.len() {
             fail(
                 index,
@@ -150,7 +148,7 @@ mod tests {
     use super::*;
     use crate::config::FafnirConfig;
     use crate::index::{IndexSet, VectorIndex};
-    use crate::placement::StripedSource;
+    use crate::placement::{EmbeddingSource, StripedSource};
     use fafnir_mem::MemoryConfig;
 
     fn batches(seed: u32) -> Vec<Batch> {
@@ -191,6 +189,24 @@ mod tests {
             let report = verify_engine(&engine, &source, &batches(23));
             assert!(report.passed(), "ranks {ranks} ratio {ratio}: {}", report.summary());
         }
+    }
+
+    #[test]
+    fn injected_operator_is_the_reference_operator() {
+        // A similarity-search Top-K scores by dot product with its query
+        // vector; `config.op` names only the element-sum Top-K. The
+        // reference must fold with the operator the engine actually runs.
+        use crate::reduce::{ReduceOp, TopKOperator};
+        let mem = MemoryConfig::ddr4_2400_4ch();
+        let source = StripedSource::new(mem.topology, 128);
+        let scoring = source.value_of(VectorIndex(5));
+        let config = FafnirConfig { op: ReduceOp::TopK { k: 2 }, ..FafnirConfig::paper_default() };
+        let engine = FafnirEngine::new(config, mem)
+            .unwrap()
+            .with_operator(std::sync::Arc::new(TopKOperator::with_scoring(2, scoring)));
+        let report = verify_engine(&engine, &source, &batches(11));
+        assert!(report.passed(), "{}", report.summary());
+        assert_eq!(report.queries_verified, 24);
     }
 
     #[test]

@@ -5,14 +5,10 @@
 //! TensorDIMM stripes a vector across all ranks. Both layouts are expressed
 //! here as [`AddressMapping`] schemes plus direct [`Location`] construction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Topology;
 
 /// A byte address in the simulated physical address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
@@ -36,7 +32,7 @@ impl std::fmt::Display for PhysAddr {
 }
 
 /// A fully decoded DRAM coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Location {
     /// Channel index.
     pub channel: usize,
@@ -98,7 +94,7 @@ impl Location {
 /// let loc = mapping.decode(PhysAddr(0x10040), &topology);
 /// assert_eq!(mapping.encode(loc, &topology), PhysAddr(0x10040));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressMapping {
     /// `offset | column | bank | bank_group | rank | channel | row`.
     ///

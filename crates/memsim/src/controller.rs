@@ -35,8 +35,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::Location;
 use crate::bank::RowOutcome;
 use crate::channel::DataBus;
@@ -48,7 +46,7 @@ use crate::verify::{CommandKind, CommandLog, CommandRecord};
 use crate::Cycle;
 
 /// One 64-byte burst of a request, as queued at a channel controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstJob {
     /// Owning request.
     pub id: RequestId,
@@ -65,7 +63,7 @@ pub struct BurstJob {
 }
 
 /// Outcome of one completed burst, reported back to the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstResult {
     /// Owning request.
     pub id: RequestId,
@@ -80,7 +78,7 @@ pub struct BurstResult {
 }
 
 /// Book-keeping flags for a queued burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct BurstProgress {
     issued_pre: bool,
     issued_act: bool,
@@ -92,7 +90,7 @@ struct BurstProgress {
 pub const SCHED_WINDOW: usize = 48;
 
 /// FR-FCFS controller for one channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelController {
     config: MemoryConfig,
     ranks: Vec<Rank>,

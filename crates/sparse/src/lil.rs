@@ -8,8 +8,6 @@
 //! is exactly the slice of the operand vector it needs, and each leaf PE
 //! can stream `value × x[col]` products in row order.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::CooMatrix;
 
 /// A LIL sparse matrix: one row-sorted `(row, value)` list per column.
@@ -24,7 +22,7 @@ use crate::coo::CooMatrix;
 /// assert_eq!(lil.multiply(&[3.0, 4.0]), vec![3.0, 8.0]);
 /// assert_eq!(lil.column_chunks(1).count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LilMatrix {
     rows: usize,
     columns: Vec<Vec<(usize, f64)>>,

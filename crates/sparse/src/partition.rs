@@ -27,8 +27,6 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::CooMatrix;
 use crate::fafnir_spmv::{self, SpmvRun, SpmvTiming};
 use crate::iteration::SpmvPlan;
@@ -36,7 +34,7 @@ use crate::lil::LilMatrix;
 use crate::stream::{merge_tree, merge_two, PartialStream, StreamOps};
 
 /// How the matrix is split across ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// 1D contiguous row blocks with (near-)equal *row counts* per rank.
     RowBlock,
@@ -90,7 +88,7 @@ impl PartitionStrategy {
 }
 
 /// One rank's sub-problem: a contiguous row/column window and its load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankSpan {
     /// Rank index.
     pub rank: usize,
@@ -115,7 +113,7 @@ pub struct RankSpan {
 /// // Balancing by nonzeros beats balancing by rows on a skewed matrix.
 /// assert!(nnz.nnz_imbalance() < row.nnz_imbalance());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmvPartition {
     /// The layout strategy.
     pub strategy: PartitionStrategy,
@@ -289,7 +287,7 @@ impl SpmvPartition {
 
 /// One rank's executed sub-problem: its plan, volumes, and the size of the
 /// partial-result stream it ships to the synchronization stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankRun {
     /// Rank index.
     pub rank: usize,
@@ -309,7 +307,7 @@ pub struct RankRun {
 
 /// The record of one partitioned SpMV: result, per-rank runs, and the
 /// synchronization stage's measured volume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedRun {
     /// The product vector `y = A·x`.
     pub y: Vec<f64>,

@@ -6,15 +6,13 @@
 //! streamed from memory each time, so the plan (iterations/rounds) is that
 //! of the underlying SpMV and times scale linearly in `k`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fafnir_spmv::{self, SpmvTiming};
 use crate::lil::LilMatrix;
 use crate::stream::StreamOps;
 use crate::two_step;
 
 /// Result of one SpMM execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpmmRun {
     /// The product, column-major: `y[j]` is `A · x[j]`.
     pub columns: Vec<Vec<f64>>,

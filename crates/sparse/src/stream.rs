@@ -7,10 +7,8 @@
 //! streams pairwise, summing entries with equal row indices. This module is
 //! that dataflow, with operation counting for the timing model.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-sorted stream of partial results.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialStream {
     entries: Vec<(usize, f64)>,
 }
@@ -88,7 +86,7 @@ impl PartialStream {
 }
 
 /// Operation counters of a stream reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamOps {
     /// Index comparisons during merging.
     pub compares: u64,

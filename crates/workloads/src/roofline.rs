@@ -5,8 +5,6 @@
 //! arithmetic intensity plus poor bandwidth utilization. This module makes
 //! that argument quantitative for any workload shape.
 
-use serde::{Deserialize, Serialize};
-
 /// A machine roofline: peak compute vs peak memory bandwidth.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let cpu = Roofline::server_cpu_ddr4();
 /// assert!(cpu.is_memory_bound(embedding_lookup_intensity(16)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak f32 operations per nanosecond (GFLOP/s = this × 1).
     pub peak_flops_per_ns: f64,

@@ -7,8 +7,8 @@
 //! cargo run --example tree_anatomy
 //! ```
 
-use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
+use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, VectorIndex};
 
 fn main() -> Result<(), fafnir_core::FafnirError> {
     let ranks = 8;
@@ -42,10 +42,11 @@ fn main() -> Result<(), fafnir_core::FafnirError> {
             ready_ns: 60.0 + 10.0 * f64::from(index.value()),
         })
         .collect();
+    let operator = config.op.operator();
     let inputs =
-        build_rank_inputs(&batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default());
+        build_rank_inputs_with(&batch, &gathered, ranks, 2, &*operator, &PeTiming::default());
 
-    let (run, trace) = tree.run_traced(inputs);
+    let (run, trace) = tree.run_traced(&*operator, inputs);
 
     println!("{}", trace.render_waterfall(56));
 
@@ -66,7 +67,7 @@ fn main() -> Result<(), fafnir_core::FafnirError> {
     }
 
     println!("\nquery outputs (first element):");
-    for (query, value) in run.query_outputs(ReduceOp::Sum) {
+    for (query, value) in run.query_outputs_with(&*operator) {
         println!("  {query} -> {:.1}", value[0]);
     }
     println!(

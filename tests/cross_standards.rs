@@ -18,7 +18,7 @@ fn check(mem: MemoryConfig, placement: TablePlacement, seed: u64) {
     let batch = tablewise_batch(&tables, seed);
     let engine = FafnirEngine::paper_default(mem).expect("engine");
     let outcome = engine.lookup(&batch, &tables).expect("lookup");
-    let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Sum);
+    let reference = fafnir_core::reference_lookup_with(&batch, &tables, &*ReduceOp::Sum.operator());
     assert_eq!(outcome.outputs.len(), reference.len());
     for ((qa, got), (qb, want)) in outcome.outputs.iter().zip(&reference) {
         assert_eq!(qa, qb);

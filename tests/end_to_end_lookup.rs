@@ -27,7 +27,8 @@ fn all_engines_agree_on_zipf_batches() {
     let mut generator = traffic(101);
     for _ in 0..3 {
         let batch = generator.batch(16);
-        let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Sum);
+        let reference =
+            fafnir_core::reference_lookup_with(&batch, &tables, &*ReduceOp::Sum.operator());
         for outcome in [
             fafnir.lookup(&batch, &tables).unwrap(),
             recnmp.lookup(&batch, &tables).unwrap(),
@@ -101,7 +102,7 @@ fn oversized_software_batches_round_trip() {
     let batch: Batch = traffic(105).batch(100); // > hardware capacity 32
     let outcome = fafnir.lookup(&batch, &tables).unwrap();
     assert_eq!(outcome.outputs.len(), 100);
-    let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Sum);
+    let reference = fafnir_core::reference_lookup_with(&batch, &tables, &*ReduceOp::Sum.operator());
     assert_eq!(outcome.outputs.len(), reference.len());
 }
 
@@ -115,7 +116,8 @@ fn mean_reduction_works_end_to_end() {
     let engine = fafnir_core::FafnirEngine::new(config, mem).unwrap();
     let batch = traffic(106).batch(4);
     let result = engine.lookup(&batch, &tables).unwrap();
-    let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Mean);
+    let reference =
+        fafnir_core::reference_lookup_with(&batch, &tables, &*ReduceOp::Mean.operator());
     for ((_, got), (_, want)) in result.outputs.iter().zip(&reference) {
         for (x, y) in got.iter().zip(want) {
             assert!((x - y).abs() <= 1e-4_f32.max(y.abs() * 1e-4));

@@ -214,7 +214,7 @@ proptest! {
         let plan = ShardPlan::new(shards, strategy_for(rowhash));
         let (cluster, _, source) = build(ReduceOp::Sum, plan, RouterPolicy::RoundRobin);
         let ours = LookupService::lookup(&cluster, &batch, &source).expect("cluster lookup");
-        let reference = fafnir_core::engine::reference_lookup(&batch, &source, ReduceOp::Sum);
+        let reference = fafnir_core::reference_lookup_with(&batch, &source, &*ReduceOp::Sum.operator());
         prop_assert_eq!(ours.outputs.len(), reference.len());
         for ((qa, got), (qb, want)) in ours.outputs.iter().zip(&reference) {
             prop_assert_eq!(qa, qb);

@@ -6,8 +6,10 @@
 use proptest::prelude::*;
 
 use fafnir_core::cycle_sim::CycleTree;
-use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
+use fafnir_core::{
+    Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, SumOperator, VectorIndex,
+};
 
 fn batch_strategy() -> impl Strategy<Value = Batch> {
     proptest::collection::vec(proptest::collection::vec(0u32..48, 1..8), 1..10).prop_map(|sets| {
@@ -28,7 +30,7 @@ fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
             ready_ns: 40.0 + 3.0 * f64::from(index.value()),
         })
         .collect();
-    build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
+    build_rank_inputs_with(batch, &gathered, ranks, 2, &SumOperator, &PeTiming::default())
 }
 
 proptest! {
@@ -38,11 +40,11 @@ proptest! {
     fn cycle_and_event_models_agree_functionally(batch in batch_strategy()) {
         let config = FafnirConfig { vector_dim: 4, ..FafnirConfig::paper_default() };
         let tree = ReductionTree::new(config, 8).unwrap();
-        let event = tree.run(inputs_for(&batch, 8));
+        let event = tree.run_with(&SumOperator, inputs_for(&batch, 8));
         // Table I sizing: capacity = batch capacity (32 here ≥ any window).
         let cycle = CycleTree::new(&tree, 32)
             .expect("non-zero capacity")
-            .run(inputs_for(&batch, 8))
+            .run_with(&SumOperator, inputs_for(&batch, 8))
             .expect("Table I sizing never deadlocks");
         prop_assert_eq!(cycle.stall_cycles, 0);
 
@@ -54,8 +56,8 @@ proptest! {
             outputs: cycle.outputs.clone(),
             stats: Default::default(),
         };
-        let event_outputs = event_run.query_outputs(ReduceOp::Sum);
-        let cycle_outputs = cycle_run.query_outputs(ReduceOp::Sum);
+        let event_outputs = event_run.query_outputs_with(&SumOperator);
+        let cycle_outputs = cycle_run.query_outputs_with(&SumOperator);
         prop_assert_eq!(event_outputs.len(), cycle_outputs.len());
         for ((qa, a), (qb, b)) in event_outputs.iter().zip(&cycle_outputs) {
             prop_assert_eq!(qa, qb);
@@ -74,7 +76,7 @@ proptest! {
         let config = FafnirConfig { vector_dim: 4, ..FafnirConfig::paper_default() };
         let tree = ReductionTree::new(config, 8).unwrap();
         let cycle =
-            CycleTree::new(&tree, 32).expect("non-zero capacity").run(inputs_for(&batch, 8)).unwrap();
+            CycleTree::new(&tree, 32).expect("non-zero capacity").run_with(&SumOperator, inputs_for(&batch, 8)).unwrap();
         // A PE's two FIFOs never hold more than the batch plus its shared
         // items (the Table I argument, observed dynamically).
         let bound = batch.len() + batch.unique_indices().len();

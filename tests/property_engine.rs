@@ -22,7 +22,7 @@ fn batch_strategy() -> impl Strategy<Value = Batch> {
 
 fn check(engine: &FafnirEngine, source: &StripedSource, batch: &Batch, op: ReduceOp) {
     let result = engine.lookup(batch, source).expect("lookup succeeds");
-    let reference = fafnir_core::engine::reference_lookup(batch, source, op);
+    let reference = fafnir_core::reference_lookup_with(batch, source, &*op.operator());
     assert_eq!(result.outputs.len(), reference.len(), "query count");
     for ((qa, got), (qb, want)) in result.outputs.iter().zip(&reference) {
         assert_eq!(qa, qb);
@@ -104,7 +104,7 @@ proptest! {
         let engine = FafnirEngine::new(config, mem).unwrap();
         let source = StripedSource::new(mem.topology, 8);
         let result = engine.lookup(&batch, &source).unwrap();
-        let reference = fafnir_core::engine::reference_lookup(&batch, &source, op);
+        let reference = fafnir_core::reference_lookup_with(&batch, &source, &*op.operator());
         for ((_, got), (_, want)) in result.outputs.iter().zip(&reference) {
             prop_assert_eq!(got, want, "min/max must be exact");
         }
@@ -123,7 +123,7 @@ proptest! {
         let source = StripedSource::new(mem.topology, 8);
         let result = engine.lookup(&batch, &source).unwrap();
         prop_assert_eq!(result.traffic.vectors_read, batch.total_references() as u64);
-        let reference = fafnir_core::engine::reference_lookup(&batch, &source, ReduceOp::Sum);
+        let reference = fafnir_core::reference_lookup_with(&batch, &source, &*ReduceOp::Sum.operator());
         for ((_, got), (_, want)) in result.outputs.iter().zip(&reference) {
             for (x, y) in got.iter().zip(want) {
                 prop_assert!((x - y).abs() <= 1e-4_f32.max(y.abs() * 1e-5));

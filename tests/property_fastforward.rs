@@ -11,8 +11,10 @@
 use proptest::prelude::*;
 
 use fafnir_core::cycle_sim::CycleTree;
-use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
+use fafnir_core::{
+    Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, SumOperator, VectorIndex,
+};
 use fafnir_mem::{MemoryConfig, MemorySystem, PagePolicy, Request, SchedulerPolicy};
 
 /// A random request with staggered arrivals: long gaps are exactly where
@@ -86,7 +88,7 @@ fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
             ready_ns: 40.0 + 3.0 * f64::from(index.value()),
         })
         .collect();
-    build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
+    build_rank_inputs_with(batch, &gathered, ranks, 2, &SumOperator, &PeTiming::default())
 }
 
 proptest! {
@@ -122,8 +124,8 @@ proptest! {
         let config = FafnirConfig { vector_dim: 4, ..FafnirConfig::paper_default() };
         let tree = ReductionTree::new(config, 8).unwrap();
         let sim = CycleTree::new(&tree, capacity).expect("non-zero capacity");
-        let fast = sim.run(inputs_for(&batch, 8));
-        let stepped = sim.run_stepped(inputs_for(&batch, 8));
+        let fast = sim.run_with(&SumOperator, inputs_for(&batch, 8));
+        let stepped = sim.run_stepped_with(&SumOperator, inputs_for(&batch, 8));
         match (fast, stepped) {
             (Ok(fast), Ok(stepped)) => {
                 prop_assert_eq!(&fast.outputs, &stepped.outputs, "outputs diverge");
