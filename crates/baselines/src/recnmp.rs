@@ -11,11 +11,13 @@ use fafnir_core::batch::Batch;
 use fafnir_core::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
 use fafnir_core::placement::EmbeddingSource;
 use fafnir_core::timing::PeTiming;
-use fafnir_core::{FafnirError, LookupResult, ReduceOp};
+use fafnir_core::{
+    AnalyticView, FafnirError, LatencyBreakdown, LookupResult, ReduceOp, TrafficStats,
+};
 use fafnir_mem::MemoryConfig;
 
 use crate::cache::VectorCache;
-use crate::model::{CoreModel, LookupEngine, LookupOutcome};
+use crate::model::{whole_batch_result, CoreModel};
 
 /// The RecNMP engine.
 #[derive(Debug, Clone)]
@@ -81,7 +83,7 @@ impl RecNmpEngine {
     /// Streamed execution with *persistent* rank caches: batch k+1 hits on
     /// vectors batch k loaded. This is the cross-batch reuse FAFNIR's
     /// per-batch dedup cannot capture (and the caches' justification in the
-    /// RecNMP design); the outcomes expose the warming hit rate.
+    /// RecNMP design); each result comes with its batch's cache hit rate.
     ///
     /// For the trait-level stream over a shared memory system see
     /// [`GatherEngine::lookup_stream`] (cold caches per batch).
@@ -89,33 +91,32 @@ impl RecNmpEngine {
     /// # Errors
     ///
     /// Returns an error under the same conditions as
-    /// [`LookupEngine::lookup`] for any batch.
-    pub fn lookup_stream<S: EmbeddingSource>(
+    /// [`GatherEngine::lookup`] for any batch.
+    pub fn lookup_stream_warm<S: EmbeddingSource>(
         &self,
         batches: &[Batch],
         source: &S,
-    ) -> Result<Vec<(LookupOutcome, f64)>, FafnirError> {
-        let ranks = self.mem_config.topology.total_ranks();
-        let mut caches: Vec<VectorCache> =
-            (0..ranks).map(|_| VectorCache::recnmp_rank_cache()).collect();
-        let mut outcomes = Vec::with_capacity(batches.len());
+    ) -> Result<Vec<(LookupResult, f64)>, FafnirError> {
+        let mut caches = self.cold_caches();
+        let mut results = Vec::with_capacity(batches.len());
         for batch in batches {
             let before_hits: u64 = caches.iter().map(VectorCache::hits).sum();
             let before_accesses: u64 = caches.iter().map(VectorCache::accesses).sum();
             let plan = self.plan_with_caches(batch, source, &mut caches)?;
             let gathered = self.gather(&plan);
-            let outcome = self.outcome(&plan, &gathered, source);
+            let mut result = LookupResult::default();
+            result.append_serial(self.reduce(&plan, gathered, source)?);
             let hits: u64 = caches.iter().map(VectorCache::hits).sum::<u64>() - before_hits;
             let accesses: u64 =
                 caches.iter().map(VectorCache::accesses).sum::<u64>() - before_accesses;
             let hit_rate = if accesses == 0 { 0.0 } else { hits as f64 / accesses as f64 };
-            outcomes.push((outcome, hit_rate));
+            results.push((result, hit_rate));
         }
-        Ok(outcomes)
+        Ok(results)
     }
 
     /// Compiles one batch against caller-owned caches (cold caches = the
-    /// plain [`LookupEngine::lookup`] behaviour), precomputing the DIMM
+    /// plain [`GatherEngine::lookup`] behaviour), precomputing the DIMM
     /// co-location analytics.
     fn plan_with_caches<S: EmbeddingSource>(
         &self,
@@ -162,14 +163,40 @@ impl RecNmpEngine {
         Ok(RecNmpPlan { mem, total_partials, ndp_elem_ops, max_group_chain, cache_hits })
     }
 
+    /// Fresh cold caches, one per rank.
+    fn cold_caches(&self) -> Vec<VectorCache> {
+        (0..self.mem_config.topology.total_ranks())
+            .map(|_| VectorCache::recnmp_rank_cache())
+            .collect()
+    }
+}
+
+impl GatherEngine for RecNmpEngine {
+    type Plan = RecNmpPlan;
+
+    fn name(&self) -> &'static str {
+        "recnmp"
+    }
+
+    /// Cache-filtered read planning with cold per-batch caches; the warm
+    /// cross-batch variant is [`RecNmpEngine::lookup_stream_warm`].
+    fn preprocess<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+    ) -> Result<Vec<RecNmpPlan>, FafnirError> {
+        let mut caches = self.cold_caches();
+        Ok(vec![self.plan_with_caches(batch, source, &mut caches)?])
+    }
+
     /// Analytic model applied to a gathered plan: NDP combine chains, the
     /// host-side partial reduction, and the partials' link transfer.
-    fn outcome<S: EmbeddingSource>(
+    fn reduce<S: EmbeddingSource>(
         &self,
         plan: &RecNmpPlan,
-        gathered: &GatherOutcome,
+        gathered: GatherOutcome,
         source: &S,
-    ) -> LookupOutcome {
+    ) -> Result<LookupResult, FafnirError> {
         let batch = &plan.mem.batch;
         let vector_bytes = source.vector_dim() * 4;
         let operator = self.op.operator();
@@ -188,73 +215,24 @@ impl RecNmpEngine {
         let bytes_to_host = plan.total_partials * vector_bytes as u64;
         let host_transfer_ns = self.core.transfer_ns(bytes_to_host);
 
-        LookupOutcome {
+        Ok(whole_batch_result(
             outputs,
-            total_ns: memory_ns + host_transfer_ns + compute_ns,
-            memory_ns,
-            compute_ns,
-            compute_throughput_ns: compute_ns,
-            host_transfer_ns,
-            memory: gathered.memory,
-            vectors_read: reads + plan.cache_hits,
-            bytes_to_host,
-            ndp_elem_ops: plan.ndp_elem_ops,
-            core_elem_ops,
-        }
-    }
-
-    /// Fresh cold caches, one per rank.
-    fn cold_caches(&self) -> Vec<VectorCache> {
-        (0..self.mem_config.topology.total_ranks())
-            .map(|_| VectorCache::recnmp_rank_cache())
-            .collect()
-    }
-}
-
-impl GatherEngine for RecNmpEngine {
-    type Plan = RecNmpPlan;
-
-    fn name(&self) -> &'static str {
-        "recnmp"
-    }
-
-    /// Cache-filtered read planning with cold per-batch caches; the warm
-    /// cross-batch variant is [`RecNmpEngine::lookup_stream`].
-    fn preprocess<S: EmbeddingSource>(
-        &self,
-        batch: &Batch,
-        source: &S,
-    ) -> Result<Vec<RecNmpPlan>, FafnirError> {
-        let mut caches = self.cold_caches();
-        Ok(vec![self.plan_with_caches(batch, source, &mut caches)?])
-    }
-
-    fn reduce<S: EmbeddingSource>(
-        &self,
-        plan: &RecNmpPlan,
-        gathered: GatherOutcome,
-        source: &S,
-    ) -> Result<LookupResult, FafnirError> {
-        let outcome = self.outcome(plan, &gathered, source);
-        Ok(outcome.into_lookup_result(plan.mem.batch.total_references() as u64))
-    }
-}
-
-impl LookupEngine for RecNmpEngine {
-    fn name(&self) -> &'static str {
-        "recnmp"
-    }
-
-    fn lookup<S: EmbeddingSource>(
-        &self,
-        batch: &Batch,
-        source: &S,
-    ) -> Result<LookupOutcome, FafnirError> {
-        // Cold per-lookup caches; see `lookup_stream` for warm ones.
-        let plans = self.preprocess(batch, source)?;
-        let plan = &plans[0];
-        let gathered = self.gather(plan);
-        Ok(self.outcome(plan, &gathered, source))
+            LatencyBreakdown::from_phases(memory_ns + host_transfer_ns + compute_ns, memory_ns),
+            gathered.memory,
+            TrafficStats {
+                total_references: batch.total_references() as u64,
+                vectors_read: reads + plan.cache_hits,
+                bytes_from_dram: gathered.memory.bytes_transferred,
+                bytes_to_host,
+            },
+            AnalyticView {
+                compute_ns,
+                compute_throughput_ns: compute_ns,
+                host_transfer_ns,
+                ndp_elem_ops: plan.ndp_elem_ops,
+                core_elem_ops,
+            },
+        ))
     }
 }
 
@@ -274,8 +252,8 @@ mod tests {
     fn outputs_match_reference() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_outputs_match(&outcome, &batch, &source, &*ReduceOp::Sum.operator());
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_outputs_match(&result, &batch, &source, &*ReduceOp::Sum.operator());
     }
 
     #[test]
@@ -285,10 +263,10 @@ mod tests {
         let batch = Batch::from_index_sets([IndexSet::from_iter_dedup(
             (0..16).map(|i| VectorIndex(i * 2)), // even indices: distinct DIMMs
         )]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.ndp_elem_ops, 0, "no co-located operands");
-        assert_eq!(outcome.core_elem_ops, 15 * 128);
-        assert_eq!(outcome.bytes_to_host, 16 * 512);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.analytic.ndp_elem_ops, 0, "no co-located operands");
+        assert_eq!(result.analytic.core_elem_ops, 15 * 128);
+        assert_eq!(result.traffic.bytes_to_host, 16 * 512);
     }
 
     #[test]
@@ -297,10 +275,10 @@ mod tests {
         // reduction, one partial to the host.
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![0, 32, 64, 96]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.ndp_elem_ops, 3 * 128);
-        assert_eq!(outcome.core_elem_ops, 0);
-        assert_eq!(outcome.bytes_to_host, 512);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.analytic.ndp_elem_ops, 3 * 128);
+        assert_eq!(result.analytic.core_elem_ops, 0);
+        assert_eq!(result.traffic.bytes_to_host, 512);
     }
 
     #[test]
@@ -310,9 +288,9 @@ mod tests {
         // misses.
         let sets: Vec<IndexSet> = (0..8).map(|_| indexset![7, 9]).collect();
         let batch = Batch::from_index_sets(sets);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.memory.requests_completed, 2, "only cold misses reach DRAM");
-        assert_eq!(outcome.vectors_read, 16, "all references counted");
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.memory.requests_completed, 2, "only cold misses reach DRAM");
+        assert_eq!(result.traffic.vectors_read, 16, "all references counted");
     }
 
     #[test]
@@ -321,9 +299,8 @@ mod tests {
         let engine = RecNmpEngine::paper_default(mem).without_cache();
         let source = StripedSource::new(mem.topology, 128);
         let sets: Vec<IndexSet> = (0..4).map(|_| indexset![7, 9]).collect();
-        let outcome =
-            LookupEngine::lookup(&engine, &Batch::from_index_sets(sets), &source).unwrap();
-        assert_eq!(outcome.memory.requests_completed, 8);
+        let result = engine.lookup(&Batch::from_index_sets(sets), &source).unwrap();
+        assert_eq!(result.memory.requests_completed, 8);
     }
 
     #[test]
@@ -333,15 +310,15 @@ mod tests {
         // on what the first loaded.
         let sets: Vec<IndexSet> = (0..4).map(|k| indexset![k, k + 1, k + 2, 40, 41]).collect();
         let batch = Batch::from_index_sets(sets);
-        let stream = engine.lookup_stream(&[batch.clone(), batch.clone()], &source).unwrap();
+        let stream = engine.lookup_stream_warm(&[batch.clone(), batch.clone()], &source).unwrap();
         assert_eq!(stream.len(), 2);
         let (first, first_hits) = &stream[0];
         let (second, second_hits) = &stream[1];
         assert!(second_hits > first_hits, "{second_hits} vs {first_hits}");
         assert!(second.memory.requests_completed < first.memory.requests_completed);
-        // Cold single lookup equals the first stream element's reads.
-        let cold = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(cold.memory.requests_completed, first.memory.requests_completed);
+        // A cold single lookup is exactly the first stream element.
+        let cold = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(&cold, first);
     }
 
     #[test]
@@ -354,13 +331,13 @@ mod tests {
         let batch = Batch::from_index_sets([IndexSet::from_iter_dedup(
             (0..16).map(|i| VectorIndex(i * 37 + 5)),
         )]);
-        let recnmp_outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        let tensordimm_outcome = LookupEngine::lookup(&tensordimm, &batch, &source).unwrap();
+        let recnmp_result = engine.lookup(&batch, &source).unwrap();
+        let tensordimm_result = tensordimm.lookup(&batch, &source).unwrap();
         assert!(
-            tensordimm_outcome.memory_ns > 2.0 * recnmp_outcome.memory_ns,
+            tensordimm_result.latency.memory_ns > 2.0 * recnmp_result.latency.memory_ns,
             "tensordimm {:.0} vs recnmp {:.0}",
-            tensordimm_outcome.memory_ns,
-            recnmp_outcome.memory_ns
+            tensordimm_result.latency.memory_ns,
+            recnmp_result.latency.memory_ns
         );
     }
 }

@@ -1,9 +1,11 @@
 //! The CLI subcommands: each takes parsed flags and returns its report as a
 //! string (so the logic is unit-testable without capturing stdout).
 
-use fafnir_baselines::{LookupEngine, LookupOutcome, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+use fafnir_baselines::{NoNdpEngine, RecNmpEngine, TensorDimmEngine};
 use fafnir_core::model::report::DeploymentSummary;
-use fafnir_core::{FafnirConfig, FafnirEngine, PeTiming, StripedSource};
+use fafnir_core::{
+    FafnirConfig, FafnirEngine, GatherEngine, LookupResult, PeTiming, StripedSource,
+};
 use fafnir_mem::MemoryConfig;
 use fafnir_sparse::{fafnir_spmv, gen, two_step, LilMatrix, SpmvTiming};
 use fafnir_workloads::query::{BatchGenerator, Popularity};
@@ -11,80 +13,98 @@ use fafnir_workloads::trace::QueryTrace;
 
 use crate::args::{ArgError, ParsedArgs};
 
+/// A subcommand: parsed flags in, printable report out.
+type Command = fn(&ParsedArgs) -> Result<String, ArgError>;
+
+/// Every command [`run`] dispatches, in [`usage`] order.
+const COMMANDS: [(&str, Command); 10] = [
+    ("lookup", lookup),
+    ("serve", serve),
+    ("cluster", cluster),
+    ("spmv", spmv),
+    ("report", report),
+    ("trace", trace),
+    ("anatomy", anatomy),
+    ("energy", energy),
+    ("selftest", selftest),
+    ("help", |_| Ok(usage())),
+];
+
 /// Runs the parsed command, returning the printable report.
 ///
 /// # Errors
 ///
 /// Returns [`ArgError`] for unknown commands or invalid flag values.
 pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
-    match args.command.as_str() {
-        "lookup" => lookup(args),
-        "serve" => serve(args),
-        "cluster" => cluster(args),
-        "spmv" => spmv(args),
-        "report" => report(args),
-        "trace" => trace(args),
-        "anatomy" => anatomy(args),
-        "energy" => energy(args),
-        "selftest" => selftest(args),
-        "help" => Ok(usage()),
-        other => Err(ArgError(format!("unknown command `{other}` (try `fafnir help`)"))),
+    match COMMANDS.iter().find(|(name, _)| *name == args.command) {
+        Some((_, command)) => command(args),
+        None => Err(ArgError(format!("unknown command `{}` (try `fafnir help`)", args.command))),
     }
 }
 
 /// The usage text.
 #[must_use]
 pub fn usage() -> String {
-    "fafnir — FAFNIR (HPCA 2021) reproduction CLI\n\
-     \n\
-     USAGE: fafnir <command> [flags]\n\
-     \n\
-     COMMANDS\n\
-       lookup   run an embedding-lookup batch through the engines\n\
-                --batch N (32) --query-len Q (16) --skew S (1.15)\n\
-                --universe U (2000) --ranks R (32) --seed X (7)\n\
-                --engine fafnir|recnmp|tensordimm|no-ndp|all (all)\n\
-                --op sum|mean|max|min|argmax|topk:K (sum)\n\
-                --memory-model cycle|fast (cycle)\n\
-                --no-dedup --interactive --refresh\n\
-       serve    simulate an online lookup service in virtual time\n\
-                --rate QPS (1e6) --process poisson|onoff (poisson)\n\
-                --policy size|deadline|adaptive (adaptive) --batch N (32)\n\
-                --max-wait-ns W (500000) --workers K (4)\n\
-                --duration-queries N (512) --queue-capacity C (1024)\n\
-                --shed drop-newest|drop-oldest (drop-newest)\n\
-                --skew S (1.15) --universe U (2000) --query-len Q (16)\n\
-                --op sum|mean|max|min|argmax|topk:K (sum)\n\
-                --memory-model cycle|fast (cycle)\n\
-                --seed X (7) --no-dedup --json\n\
-                --faults none|outage|slow:MULT:N|crash:MTTF:MTTR (none)\n\
-                --timeout-ns T (off) --retries R (0) --backoff-ns B (1000)\n\
-                --hedge-ns H (off)\n\
-                --sweep-windows W1,W2,... (run one deadline-policy scenario\n\
-                per window) --scenario-threads N (1, sweep parallelism)\n\
-       cluster  serve against a sharded multi-tree cluster\n\
-                --shards N (4) --strategy tablewise|rowhash|rowrange (rowrange)\n\
-                --rows-per-table R (250, tablewise) --replicate-hot F (0)\n\
-                --router roundrobin|leastloaded (roundrobin)\n\
-                --rate QPS (1e6) --workers K (4) --duration-queries N (512)\n\
-                --skew S (1.15) --universe U (2000) --query-len Q (16)\n\
-                --op sum|mean|max|min|argmax|topk:K (sum)\n\
-                --memory-model cycle|fast (cycle) --seed X (7) --json\n\
-       spmv     run y = A·x on FAFNIR and the Two-Step baseline\n\
-                --gen uniform|rmat|banded|spd (rmat) --rows N (4096)\n\
-                --density D (0.01, uniform) --nnz N (rows*8, rmat)\n\
-                --bandwidth B (4, banded/spd) --vector-size V (2048)\n\
-                --mtx FILE (load Matrix Market input) --seed X (7)\n\
-                --partition row|nnz|col|grid (off) --ranks R (8)\n\
-                --stream (chunk-at-a-time driver) --json\n\
-       report   print the deployment summary\n\
-                --ranks R (32) --ratio 1|2|4 (2) --cores C (4)\n\
-       trace    record or characterize query traces\n\
-                --record N (write N queries to stdout as text)\n\
-                --stats FILE (reuse statistics of a trace file)\n\
-                --skew S --universe U --query-len Q --seed X\n\
-       help     this text\n"
-        .to_string()
+    "\
+fafnir — FAFNIR (HPCA 2021) reproduction CLI
+
+USAGE: fafnir <command> [flags]
+
+COMMANDS
+  lookup   run an embedding-lookup batch through the engines
+           --batch N (32) --query-len Q (16) --skew S (1.15)
+           --universe U (2000) --ranks R (32) --seed X (7)
+           --engine fafnir|recnmp|tensordimm|no-ndp|all (all)
+           --op sum|mean|max|min|argmax|topk:K (sum)
+           --memory-model cycle|fast (cycle)
+           --no-dedup --interactive --refresh
+  serve    simulate an online lookup service in virtual time
+           --rate QPS (1e6) --process poisson|onoff (poisson)
+           --policy size|deadline|adaptive (adaptive) --batch N (32)
+           --max-wait-ns W (500000) --workers K (4)
+           --duration-queries N (512) --queue-capacity C (1024)
+           --shed drop-newest|drop-oldest (drop-newest)
+           --skew S (1.15) --universe U (2000) --query-len Q (16)
+           --op sum|mean|max|min|argmax|topk:K (sum)
+           --memory-model cycle|fast (cycle)
+           --seed X (7) --no-dedup --json
+           --faults none|outage|slow:MULT:N|crash:MTTF:MTTR (none)
+           --timeout-ns T (off) --retries R (0) --backoff-ns B (1000)
+           --hedge-ns H (off)
+           --sweep-windows W1,W2,... (run one deadline-policy scenario
+           per window) --scenario-threads N (1, sweep parallelism)
+  cluster  serve against a sharded multi-tree cluster
+           --shards N (4) --strategy tablewise|rowhash|rowrange (rowrange)
+           --rows-per-table R (250, tablewise) --replicate-hot F (0)
+           --router roundrobin|leastloaded (roundrobin)
+           --rate QPS (1e6) --workers K (4) --duration-queries N (512)
+           --skew S (1.15) --universe U (2000) --query-len Q (16)
+           --op sum|mean|max|min|argmax|topk:K (sum)
+           --memory-model cycle|fast (cycle) --seed X (7) --json
+  spmv     run y = A·x on FAFNIR and the Two-Step baseline
+           --gen uniform|rmat|banded|spd (rmat) --rows N (4096)
+           --density D (0.01, uniform) --nnz N (rows*8, rmat)
+           --bandwidth B (4, banded/spd) --vector-size V (2048)
+           --mtx FILE (load Matrix Market input) --seed X (7)
+           --partition row|nnz|col|grid (off) --ranks R (8)
+           --stream (chunk-at-a-time driver) --json
+  report   print the deployment summary
+           --ranks R (32) --ratio 1|2|4 (2) --cores C (4)
+  trace    record or characterize query traces
+           --record N (write N queries to stdout as text)
+           --stats FILE (reuse statistics of a trace file)
+           --skew S --universe U --query-len Q --seed X
+  anatomy  trace one batch through the tree: per-PE waterfall
+           --batch N (4) --query-len Q (8) --ranks R (8)
+           --skew S (1.15) --universe U (2000) --seed X (7)
+  energy   DRAM + tree energy of one batch, with and without dedup
+           --batch N (32) --query-len Q (16) --skew S (1.15)
+           --universe U (2000) --seed X (7)
+  selftest check the engine against the software reference
+           --ranks R (32) --ratio 1|2|4 (2) --batches N (6) --seed X (7)
+  help     this text
+"
+    .to_string()
 }
 
 /// Parses `--op sum|mean|max|min|argmax|topk:K` (default `sum`).
@@ -106,13 +126,13 @@ fn memory_for(ranks: usize) -> Result<MemoryConfig, ArgError> {
     Ok(MemoryConfig::with_total_ranks(ranks))
 }
 
-fn outcome_row(name: &str, outcome: &LookupOutcome) -> String {
+fn result_row(name: &str, result: &LookupResult) -> String {
     format!(
         "{name:<12} {:>10.2} us {:>12} {:>14} B {:>9.0} %\n",
-        outcome.total_ns / 1e3,
-        outcome.vectors_read,
-        outcome.bytes_to_host,
-        outcome.ndp_fraction() * 100.0
+        result.latency.total_ns / 1e3,
+        result.traffic.vectors_read,
+        result.traffic.bytes_to_host,
+        result.ndp_fraction() * 100.0
     )
 }
 
@@ -163,7 +183,7 @@ fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
     if wants("fafnir") {
         let engine = FafnirEngine::new(config, mem)
             .map_err(|e| ArgError(format!("fafnir configuration: {e}")))?;
-        let outcome = if args.switch("interactive") {
+        if args.switch("interactive") {
             let result =
                 engine.lookup_interactive(&batch, &source).map_err(|e| ArgError(e.to_string()))?;
             out.push_str(&format!(
@@ -174,16 +194,13 @@ fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
                 result.traffic.bytes_to_host,
                 100
             ));
-            None
         } else {
-            Some(engine.lookup(&batch, &source).map_err(|e| ArgError(e.to_string()))?)
-        };
-        if let Some(outcome) = outcome {
-            out.push_str(&outcome_row("fafnir", &outcome));
+            let result = engine.lookup(&batch, &source).map_err(|e| ArgError(e.to_string()))?;
+            out.push_str(&result_row("fafnir", &result));
         }
     }
     if wants("recnmp") {
-        let outcome = RecNmpEngine::new(
+        let result = RecNmpEngine::new(
             mem,
             fafnir_baselines::CoreModel::server_cpu(),
             PeTiming::fpga_200mhz(),
@@ -191,19 +208,19 @@ fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
         )
         .lookup(&batch, &source)
         .map_err(|e| ArgError(e.to_string()))?;
-        out.push_str(&outcome_row("recnmp", &outcome));
+        out.push_str(&result_row("recnmp", &result));
     }
     if wants("tensordimm") {
-        let outcome = TensorDimmEngine::new(mem, PeTiming::fpga_200mhz(), op)
+        let result = TensorDimmEngine::new(mem, PeTiming::fpga_200mhz(), op)
             .lookup(&batch, &source)
             .map_err(|e| ArgError(e.to_string()))?;
-        out.push_str(&outcome_row("tensordimm", &outcome));
+        out.push_str(&result_row("tensordimm", &result));
     }
     if wants("no-ndp") {
-        let outcome = NoNdpEngine::new(mem, fafnir_baselines::CoreModel::server_cpu(), op)
+        let result = NoNdpEngine::new(mem, fafnir_baselines::CoreModel::server_cpu(), op)
             .lookup(&batch, &source)
             .map_err(|e| ArgError(e.to_string()))?;
-        out.push_str(&outcome_row("no-ndp", &outcome));
+        out.push_str(&result_row("no-ndp", &result));
     }
     if args.switch("interactive") {
         out.push_str("(* interactive mode: one query per hardware batch)\n");
@@ -671,27 +688,18 @@ fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
     );
     let (run, trace) = tree.run_traced(&*operator, inputs);
     let mut out = format!(
-        "anatomy: {batch_size} queries x {query_len} indices over {ranks} ranks          ({} PEs, {} levels)
-
-",
+        "anatomy: {batch_size} queries x {query_len} indices over {ranks} ranks \
+         ({} PEs, {} levels)\n\n",
         tree.pe_count(),
         tree.levels()
     );
     out.push_str(&trace.render_waterfall(56));
-    out.push_str(
-        "
-per-level roll-up (level, reduces, forwards, outputs):
-",
-    );
+    out.push_str("\nper-level roll-up (level, reduces, forwards, outputs):\n");
     for (level, reduces, forwards, outputs) in trace.level_summary() {
-        out.push_str(&format!(
-            "  L{level}: r{reduces} f{forwards} out {outputs}
-"
-        ));
+        out.push_str(&format!("  L{level}: r{reduces} f{forwards} out {outputs}\n"));
     }
     out.push_str(&format!(
-        "completion {:.0} ns, {} incomplete outputs
-",
+        "completion {:.0} ns, {} incomplete outputs\n",
         run.stats.completion_ns, run.stats.incomplete_outputs
     ));
     Ok(out)
@@ -710,11 +718,7 @@ fn selftest(args: &ParsedArgs) -> Result<String, ArgError> {
     let mut generator = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, seed);
     let batches: Vec<_> = (0..batch_count.max(1)).map(|_| generator.batch(16)).collect();
     let report = verify_engine(&engine, &source, &batches);
-    Ok(format!(
-        "{}
-",
-        report.summary()
-    ))
+    Ok(format!("{}\n", report.summary()))
 }
 
 fn energy(args: &ParsedArgs) -> Result<String, ArgError> {
@@ -744,8 +748,7 @@ fn energy(args: &ParsedArgs) -> Result<String, ArgError> {
     for (name, dedup) in [("with dedup", true), ("without dedup", false)] {
         let config = FafnirConfig { dedup, ..FafnirConfig::paper_default() };
         let engine = FafnirEngine::new(config, mem).map_err(|e| ArgError(e.to_string()))?;
-        let result = fafnir_core::GatherEngine::lookup(&engine, &batch, &source)
-            .map_err(|e| ArgError(e.to_string()))?;
+        let result = engine.lookup(&batch, &source).map_err(|e| ArgError(e.to_string()))?;
         let dram_nj = dram_model.dynamic_nj(&result.memory);
         let tree_nj = tree_model.tree_energy_nj(&result.tree.ops);
         out.push_str(&format!(
@@ -1188,6 +1191,34 @@ mod tests {
         assert!(out.contains("L0 PE0"), "{out}");
         assert!(out.contains("per-level roll-up"));
         assert!(out.contains("0 incomplete"));
+    }
+
+    #[test]
+    fn usage_lists_every_dispatched_command() {
+        let usage = usage();
+        for (name, _) in COMMANDS {
+            assert!(
+                usage.lines().any(|line| line.trim_start().starts_with(&format!("{name} "))),
+                "`{name}` is dispatched but missing from usage:\n{usage}"
+            );
+        }
+    }
+
+    #[test]
+    fn anatomy_header_is_one_clean_line() {
+        use fafnir_core::ReductionTree;
+        for ranks in [8usize, 32] {
+            let out =
+                run_line(&format!("anatomy --batch 3 --query-len 4 --ranks {ranks}")).unwrap();
+            let config = FafnirConfig { vector_dim: 8, ..FafnirConfig::paper_default() };
+            let tree = ReductionTree::new(config, ranks).unwrap();
+            let header = format!(
+                "anatomy: 3 queries x 4 indices over {ranks} ranks ({} PEs, {} levels)",
+                tree.pe_count(),
+                tree.levels()
+            );
+            assert_eq!(out.lines().next(), Some(header.as_str()));
+        }
     }
 
     #[test]

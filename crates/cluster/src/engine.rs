@@ -33,7 +33,8 @@ use std::sync::{Arc, Mutex};
 
 use fafnir_core::{
     combine_partials, Batch, EmbeddingSource, FafnirConfig, FafnirEngine, FafnirError,
-    GatherEngine, LookupResult, LookupService, QueryId, ReduceOperator, ShardPlan,
+    GatherEngine, LatencyBreakdown, LookupResult, LookupService, QueryId, ReduceOperator,
+    ShardPlan,
 };
 use fafnir_mem::{MemoryConfig, MemoryModelKind};
 use fafnir_serve::{worker_setup, ServeError};
@@ -177,6 +178,9 @@ impl LookupService for ClusterEngine {
             return Err(FafnirError::InvalidBatch("batch has no queries".into()));
         }
         let routed = route(batch, &self.plan, self.policy);
+        if routed.per_shard.iter().all(Vec::is_empty) {
+            return Err(FafnirError::InvalidBatch("batch references no indices".into()));
+        }
         let dim = source.vector_dim();
         let acc_dim = self.operator.acc_dim(dim);
         let merge_step_ns = self.merge_step_ns(acc_dim);
@@ -187,31 +191,32 @@ impl LookupService for ClusterEngine {
         // position, the (shard, value/time) pairs in ascending shard order.
         let mut shard_outputs: Vec<Vec<(usize, Vec<f32>)>> = vec![Vec::new(); batch.len()];
         let mut shard_times: Vec<f64> = vec![0.0; batch.len()];
-        let mut merged: Option<LookupResult> = None;
+        let mut aggregate = LookupResult::default();
         let mut per_shard_vectors = vec![0u64; self.shards()];
         for (shard, sub_queries) in routed.per_shard.iter().enumerate() {
             if sub_queries.is_empty() {
                 continue;
             }
             let sub_batch = Batch::from_index_sets(sub_queries.iter().map(|sq| sq.indices.clone()));
-            let result = GatherEngine::lookup(&self.engines[shard], &sub_batch, source)?;
+            let mut result = GatherEngine::lookup(&self.engines[shard], &sub_batch, source)?;
             per_shard_vectors[shard] = result.traffic.vectors_read;
-            for &(QueryId(local), ref value) in &result.outputs {
+            // Outputs and completions carry shard-local ids; they are
+            // assembled per global query below, so only the scalars and
+            // counters go through the concurrent merge.
+            for (QueryId(local), value) in std::mem::take(&mut result.outputs) {
                 let position = sub_queries[local as usize].position;
                 // Split queries recompute from partials; only single-shard
-                // queries consume the tree output, so skip the other clones.
+                // queries consume the tree output.
                 if routed.touched[position].len() == 1 {
-                    shard_outputs[position].push((shard, value.clone()));
+                    shard_outputs[position].push((shard, value));
                 }
             }
-            for &(QueryId(local), completion) in &result.per_query_ns {
+            for (QueryId(local), completion) in std::mem::take(&mut result.per_query_ns) {
                 let position = sub_queries[local as usize].position;
                 shard_times[position] = shard_times[position].max(completion);
             }
-            merge_shard(&mut merged, result);
+            aggregate.overlay_concurrent(result);
         }
-        let mut aggregate = merged
-            .ok_or_else(|| FafnirError::InvalidBatch("batch references no indices".into()))?;
 
         // Stage 3: assemble outputs. Single-shard queries take the tree
         // output verbatim; split queries fold their own partials (see the
@@ -265,9 +270,8 @@ impl LookupService for ClusterEngine {
         // at the slowest shard plus any merge tail it feeds.
         let shard_total = aggregate.latency.total_ns;
         let query_tail = per_query_ns.iter().map(|&(_, t)| t).fold(0.0f64, f64::max);
-        aggregate.latency.total_ns = shard_total.max(query_tail);
-        aggregate.latency.compute_tail_ns =
-            (aggregate.latency.total_ns - aggregate.latency.memory_ns).max(0.0);
+        aggregate.latency =
+            LatencyBreakdown::from_phases(shard_total.max(query_tail), aggregate.latency.memory_ns);
         aggregate.tree.completion_ns = aggregate.latency.total_ns;
         aggregate.traffic.total_references = batch.total_references() as u64;
         aggregate.traffic.bytes_to_host = outputs
@@ -309,35 +313,4 @@ fn partial_fold<S: EmbeddingSource>(
         operator.combine_into(&mut acc, &operator.lift(index, &source.shared_value_of(index)));
     }
     acc
-}
-
-/// Overlays a concurrent shard result onto the batch aggregate: latencies
-/// max (shards run in parallel), counters add. Outputs and per-query times
-/// are assembled separately, so only the scalar fields matter here.
-fn merge_shard(into: &mut Option<LookupResult>, sub: LookupResult) {
-    let Some(aggregate) = into else {
-        *into = Some(sub);
-        return;
-    };
-    aggregate.latency.total_ns = aggregate.latency.total_ns.max(sub.latency.total_ns);
-    aggregate.latency.memory_ns = aggregate.latency.memory_ns.max(sub.latency.memory_ns);
-    aggregate.latency.compute_tail_ns =
-        (aggregate.latency.total_ns - aggregate.latency.memory_ns).max(0.0);
-    aggregate.memory.merge(&sub.memory);
-    aggregate.tree.ops.merge(&sub.tree.ops);
-    aggregate.tree.levels = aggregate.tree.levels.max(sub.tree.levels);
-    aggregate.tree.pes += sub.tree.pes;
-    aggregate.tree.max_buffer_items =
-        aggregate.tree.max_buffer_items.max(sub.tree.max_buffer_items);
-    aggregate.tree.incomplete_outputs += sub.tree.incomplete_outputs;
-    if aggregate.tree.per_level_outputs.len() < sub.tree.per_level_outputs.len() {
-        aggregate.tree.per_level_outputs.resize(sub.tree.per_level_outputs.len(), 0);
-    }
-    for (level, count) in sub.tree.per_level_outputs.iter().enumerate() {
-        aggregate.tree.per_level_outputs[level] += count;
-    }
-    aggregate.traffic.total_references += sub.traffic.total_references;
-    aggregate.traffic.vectors_read += sub.traffic.vectors_read;
-    aggregate.traffic.bytes_from_dram += sub.traffic.bytes_from_dram;
-    aggregate.traffic.bytes_to_host += sub.traffic.bytes_to_host;
 }

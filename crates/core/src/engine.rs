@@ -43,6 +43,15 @@ pub struct LatencyBreakdown {
     pub compute_tail_ns: f64,
 }
 
+impl LatencyBreakdown {
+    /// The breakdown of a lookup that ends at `total_ns` after a memory
+    /// phase ending at `memory_ns`: the exposed tail is the difference.
+    #[must_use]
+    pub fn from_phases(total_ns: f64, memory_ns: f64) -> Self {
+        Self { total_ns, memory_ns, compute_tail_ns: (total_ns - memory_ns).max(0.0) }
+    }
+}
+
 /// Data-movement accounting of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficStats {
@@ -57,8 +66,77 @@ pub struct TrafficStats {
     pub bytes_to_host: u64,
 }
 
+impl TrafficStats {
+    /// Adds another lookup's counters into these.
+    pub fn merge(&mut self, other: &TrafficStats) {
+        self.total_references += other.total_references;
+        self.vectors_read += other.vectors_read;
+        self.bytes_from_dram += other.bytes_from_dram;
+        self.bytes_to_host += other.bytes_to_host;
+    }
+}
+
+/// Effective memory-to-host link bandwidth for forwarded results, in bytes
+/// per nanosecond (≈ GB/s): half the 76.8 GB/s aggregate of four DDR4-2400
+/// channels, since forwards contend with the ongoing gather traffic at the
+/// host memory interface. Every engine's host model prices its link with it.
+pub const HOST_LINK_BYTES_PER_NS: f64 = 38.4;
+
+/// The analytic stage view of a lookup: how long the compute stage and the
+/// host link are busy, and where the element-wise reductions ran. The
+/// sustained (pipelined) rate of Figs. 12/13 and the NDP share derive from
+/// it (see [`LookupResult::sustained_ns`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct AnalyticView {
+    /// Exposed (non-overlapped) computation latency.
+    pub compute_ns: f64,
+    /// Computation cost as a *pipeline stage* (throughput view): how long
+    /// the compute stage is busy per batch. For the baselines' serial
+    /// pipelines and core-side combines this equals `compute_ns`; for
+    /// FAFNIR's fully pipelined tree it is the root's output serialization,
+    /// far below the tree's latency.
+    pub compute_throughput_ns: f64,
+    /// Time the batch's results (raw vectors or partials) occupy the
+    /// memory-to-host link. Zero when the read path itself delivers the
+    /// data to the cores (no-NDP baseline).
+    pub host_transfer_ns: f64,
+    /// Element-wise reduction operations executed at NDP.
+    pub ndp_elem_ops: u64,
+    /// Element-wise reduction operations executed at the cores.
+    pub core_elem_ops: u64,
+}
+
+impl AnalyticView {
+    /// Serial rule: stage times and counts add.
+    fn append_serial(&mut self, next: &AnalyticView) {
+        self.compute_ns += next.compute_ns;
+        self.compute_throughput_ns += next.compute_throughput_ns;
+        self.host_transfer_ns += next.host_transfer_ns;
+        self.add_ops(next);
+    }
+
+    /// Concurrent rule: stage times overlay (max), counts add.
+    fn overlay_concurrent(&mut self, other: &AnalyticView) {
+        self.compute_ns = self.compute_ns.max(other.compute_ns);
+        self.compute_throughput_ns = self.compute_throughput_ns.max(other.compute_throughput_ns);
+        self.host_transfer_ns = self.host_transfer_ns.max(other.host_transfer_ns);
+        self.add_ops(other);
+    }
+
+    fn add_ops(&mut self, other: &AnalyticView) {
+        self.ndp_elem_ops += other.ndp_elem_ops;
+        self.core_elem_ops += other.core_elem_ops;
+    }
+}
+
 /// Result of one embedding-lookup batch.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Results combine by two rules: [`LookupResult::append_serial`] for
+/// batches that ran back to back on one accelerator and
+/// [`LookupResult::overlay_concurrent`] for batches that ran at the same
+/// time on independent ones. `LookupResult::default()` is the identity of
+/// both.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LookupResult {
     /// Finished per-query output vectors, sorted by query id.
     pub outputs: Vec<(QueryId, Vec<f32>)>,
@@ -73,9 +151,49 @@ pub struct LookupResult {
     pub tree: TreeStats,
     /// Data-movement accounting.
     pub traffic: TrafficStats,
+    /// Stage occupancy and NDP/host split of the reduction work.
+    pub analytic: AnalyticView,
 }
 
 impl LookupResult {
+    /// Serial rule: `next` ran on the same accelerator right after `self`,
+    /// starting when `self` ended. Its completions shift by `self`'s total,
+    /// latencies and counters add.
+    pub fn append_serial(&mut self, next: LookupResult) {
+        let offset = self.latency.total_ns;
+        self.latency.total_ns += next.latency.total_ns;
+        self.latency.memory_ns += next.latency.memory_ns;
+        self.latency.compute_tail_ns += next.latency.compute_tail_ns;
+        self.analytic.append_serial(&next.analytic);
+        self.per_query_ns.extend(next.per_query_ns.iter().map(|&(query, t)| (query, offset + t)));
+        self.absorb(next);
+    }
+
+    /// Concurrent rule: `other` ran at the same time as `self` on an
+    /// independent accelerator. Latencies take the max (the exposed tail is
+    /// what the total leaves after the memory phase), counters add.
+    pub fn overlay_concurrent(&mut self, other: LookupResult) {
+        self.latency = LatencyBreakdown::from_phases(
+            self.latency.total_ns.max(other.latency.total_ns),
+            self.latency.memory_ns.max(other.latency.memory_ns),
+        );
+        self.analytic.overlay_concurrent(&other.analytic);
+        self.per_query_ns.extend_from_slice(&other.per_query_ns);
+        self.absorb(other);
+    }
+
+    /// The part both rules share: outputs join, counters add, and outputs
+    /// and completions stay sorted by query id.
+    fn absorb(&mut self, other: LookupResult) {
+        self.outputs.extend(other.outputs);
+        self.memory.merge(&other.memory);
+        self.tree.merge(&other.tree);
+        self.tree.completion_ns = self.latency.total_ns;
+        self.traffic.merge(&other.traffic);
+        self.outputs.sort_by_key(|(query, _)| *query);
+        self.per_query_ns.sort_by_key(|(query, _)| *query);
+    }
+
     /// Lookup throughput in queries per second.
     #[must_use]
     pub fn queries_per_second(&self) -> f64 {
@@ -83,6 +201,39 @@ impl LookupResult {
             0.0
         } else {
             self.outputs.len() as f64 / (self.latency.total_ns * 1e-9)
+        }
+    }
+
+    /// Sustained time per batch when batches run back to back: the gather,
+    /// host-link and compute stages pipeline across batches, so the slowest
+    /// stage sets the rate.
+    #[must_use]
+    pub fn sustained_ns(&self) -> f64 {
+        self.latency
+            .memory_ns
+            .max(self.analytic.compute_throughput_ns)
+            .max(self.analytic.host_transfer_ns)
+    }
+
+    /// Sustained throughput in queries per second (pipelined batches).
+    #[must_use]
+    pub fn sustained_queries_per_second(&self) -> f64 {
+        let sustained = self.sustained_ns();
+        if sustained <= 0.0 {
+            0.0
+        } else {
+            self.outputs.len() as f64 / (sustained * 1e-9)
+        }
+    }
+
+    /// Fraction of reduction work done at NDP (1.0 for FAFNIR/TensorDIMM).
+    #[must_use]
+    pub fn ndp_fraction(&self) -> f64 {
+        let total = self.analytic.ndp_elem_ops + self.analytic.core_elem_ops;
+        if total == 0 {
+            1.0
+        } else {
+            self.analytic.ndp_elem_ops as f64 / total as f64
         }
     }
 
@@ -99,9 +250,9 @@ impl LookupResult {
         nearest_rank_percentile_ns(&times, p)
     }
 
-    /// Scales every service-time figure (latency decomposition and
-    /// per-query completions) by `factor`, leaving outputs and data-movement
-    /// counters untouched.
+    /// Scales every service-time figure (latency decomposition, stage
+    /// times and per-query completions) by `factor`, leaving outputs and
+    /// data-movement counters untouched.
     ///
     /// This is the hook serving layers use to model a *degraded* worker
     /// replica — thermal throttling, a straggler DIMM, a noisy neighbour —
@@ -121,6 +272,9 @@ impl LookupResult {
         self.latency.total_ns *= factor;
         self.latency.memory_ns *= factor;
         self.latency.compute_tail_ns *= factor;
+        self.analytic.compute_ns *= factor;
+        self.analytic.compute_throughput_ns *= factor;
+        self.analytic.host_transfer_ns *= factor;
         for (_, completion) in &mut self.per_query_ns {
             *completion *= factor;
         }
@@ -304,7 +458,9 @@ impl FafnirEngine {
     }
 
     /// Interactive (non-batch) lookup: queries are served one at a time,
-    /// each as its own hardware batch, and their latencies accumulate.
+    /// each as its own hardware batch, merged by the serial rule
+    /// ([`LookupResult::append_serial`]): query k completes after every
+    /// earlier query's lookup plus its own.
     ///
     /// Sec. IV-C: "the same mechanism can also be used for interactive
     /// processing, in which all nodes would either forward or reduce without
@@ -324,32 +480,12 @@ impl FafnirEngine {
         if batch.is_empty() {
             return Err(FafnirError::InvalidBatch("batch has no queries".into()));
         }
-        let mut combined: Option<LookupResult> = None;
-        for query in batch.queries() {
-            let mut single = Batch::new();
-            single.push(query.indices.clone());
-            let mut result = self.lookup(&single, source)?;
-            // Restore the caller's query id.
-            result.outputs[0].0 = query.id;
-            match &mut combined {
-                None => combined = Some(result),
-                Some(total) => {
-                    total.outputs.extend(result.outputs);
-                    total.latency.total_ns += result.latency.total_ns;
-                    total.latency.memory_ns += result.latency.memory_ns;
-                    total.latency.compute_tail_ns += result.latency.compute_tail_ns;
-                    total.memory.merge(&result.memory);
-                    total.tree.ops.merge(&result.tree.ops);
-                    total.traffic.total_references += result.traffic.total_references;
-                    total.traffic.vectors_read += result.traffic.vectors_read;
-                    total.traffic.bytes_from_dram += result.traffic.bytes_from_dram;
-                    total.traffic.bytes_to_host += result.traffic.bytes_to_host;
-                }
-            }
+        let mut result = LookupResult::default();
+        // `split` keeps each query's id.
+        for single in batch.split(1) {
+            result.append_serial(self.lookup(&single, source)?);
         }
-        let mut combined = combined.expect("non-empty batch");
-        combined.outputs.sort_by_key(|(query, _)| *query);
-        Ok(combined)
+        Ok(result)
     }
 
     /// Number of point-to-point connections in a FAFNIR deployment over `m`
@@ -483,12 +619,11 @@ impl GatherEngine for FafnirEngine {
         // Under the fast memory model the item-level tree simulation is
         // replaced by the fast-functional fold: bit-identical outputs,
         // analytic per-query timing (see `crate::fastpath`). The
-        // cycle-stepped backend and unsupported leaf shapes keep the full
-        // simulation — the fast *memory* pricing still applies upstream.
+        // cycle-stepped backend keeps the full simulation — the fast
+        // *memory* pricing still applies upstream.
         let (mut outputs, completions, tree_stats) = if self.mem_config.model
             == fafnir_mem::MemoryModelKind::Fast
             && self.backend == TreeBackend::EventTimed
-            && crate::fastpath::supports_shape(self.config.ranks_per_leaf)
         {
             let fast =
                 crate::fastpath::fast_reduce(batch, &gathered_vectors, &self.tree, &*operator);
@@ -539,23 +674,39 @@ impl GatherEngine for FafnirEngine {
             .collect();
         let total_ns = per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
         outputs.sort_by_key(|(query, _)| *query);
+        let latency = LatencyBreakdown::from_phases(total_ns, memory_ns);
+        let bytes_to_host = (batch.len() * self.config.vector_bytes()) as u64;
+        let timing = &self.config.pe_timing;
+        let reduces = tree_stats.ops.reduces;
+        let analytic = AnalyticView {
+            compute_ns: latency.compute_tail_ns,
+            // The tree is fully pipelined: per batch it is busy only for the
+            // root's output serialization (one output per initiation
+            // interval per query), not the tree's depth.
+            compute_throughput_ns: outputs.len() as f64
+                * timing.output_interval_cycles as f64
+                * timing.cycle_ns(),
+            // The root forwards n output vectors to the host.
+            host_transfer_ns: bytes_to_host as f64 / HOST_LINK_BYTES_PER_NS,
+            // Every reduce the tree performed happened at NDP; count merged
+            // (deduplicated) reduces as element ops.
+            ndp_elem_ops: (reduces / 2).max(reduces.min(1)) * source.vector_dim() as u64,
+            core_elem_ops: 0,
+        };
 
         Ok(LookupResult {
             outputs,
             per_query_ns,
-            latency: LatencyBreakdown {
-                total_ns,
-                memory_ns,
-                compute_tail_ns: (total_ns - memory_ns).max(0.0),
-            },
+            latency,
             memory: gathered.memory,
             traffic: TrafficStats {
                 total_references: batch.total_references() as u64,
                 vectors_read: plan.reads.len() as u64,
                 bytes_from_dram: gathered.memory.bytes_transferred,
-                bytes_to_host: (batch.len() * self.config.vector_bytes()) as u64,
+                bytes_to_host,
             },
             tree: tree_stats,
+            analytic,
         })
     }
 }
@@ -988,6 +1139,71 @@ mod tests {
         assert!(interactive.latency.total_ns > batched.latency.total_ns);
         assert_eq!(interactive.traffic.vectors_read, 6);
         assert_eq!(batched.traffic.vectors_read, 5);
+    }
+
+    #[test]
+    fn interactive_completions_accumulate_query_by_query() {
+        let engine = engine();
+        let source = source();
+        let batch = Batch::from_index_sets([
+            indexset![1, 2, 5],
+            indexset![3, 4, 5],
+            indexset![7, 40, 100, 260],
+        ]);
+        let interactive = engine.lookup_interactive(&batch, &source).unwrap();
+        // Query k completes after every earlier query's lookup plus its own.
+        let mut elapsed = 0.0;
+        let mut expected = Vec::new();
+        let mut pes = 0;
+        for query in batch.queries() {
+            let alone =
+                engine.lookup(&Batch::from_index_sets([query.indices.clone()]), &source).unwrap();
+            expected.push((query.id, elapsed + alone.per_query_ns[0].1));
+            elapsed += alone.latency.total_ns;
+            pes += alone.tree.pes;
+        }
+        assert_eq!(interactive.per_query_ns, expected);
+        assert_eq!(interactive.latency.total_ns.to_bits(), elapsed.to_bits());
+        assert_eq!(interactive.tree.pes, pes);
+    }
+
+    #[test]
+    fn default_result_is_the_identity_of_both_merge_rules() {
+        let engine = engine();
+        let source = source();
+        let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
+        let result = engine.lookup(&batch, &source).unwrap();
+        let mut serial = LookupResult::default();
+        serial.append_serial(result.clone());
+        assert_eq!(serial, result);
+        let mut concurrent = LookupResult::default();
+        concurrent.overlay_concurrent(result.clone());
+        assert_eq!(concurrent, result);
+    }
+
+    #[test]
+    fn sustained_is_the_slowest_stage() {
+        let mut result = LookupResult {
+            latency: LatencyBreakdown::from_phases(10.0, 4.0),
+            analytic: AnalyticView {
+                compute_ns: 7.0,
+                compute_throughput_ns: 7.0,
+                host_transfer_ns: 9.0,
+                ..AnalyticView::default()
+            },
+            ..LookupResult::default()
+        };
+        assert_eq!(result.sustained_ns(), 9.0);
+        result.analytic.host_transfer_ns = 0.0;
+        assert_eq!(result.sustained_ns(), 7.0);
+    }
+
+    #[test]
+    fn ndp_fraction_handles_empty() {
+        let result = LookupResult::default();
+        assert_eq!(result.ndp_fraction(), 1.0);
+        assert_eq!(result.queries_per_second(), 0.0);
+        assert_eq!(result.sustained_queries_per_second(), 0.0);
     }
 
     #[test]

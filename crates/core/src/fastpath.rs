@@ -32,9 +32,10 @@
 //! `compares`, raw/merged output counts and buffer occupancy are not
 //! modeled (they read as zero, like the cycle-stepped backend's counters).
 //!
-//! Leaf shapes with an odd `ranks_per_leaf ≥ 3` split one physical PE input
-//! across several injector sides, which this fold does not model; see
-//! [`supports_shape`] — the engine falls back to the real tree there.
+//! The fold covers every tree that can exist: [`crate::FafnirConfig::validate`]
+//! admits only power-of-two `ranks_per_leaf`, so each leaf-PE input carries
+//! at most one injector side (odd values ≥ 3 would split one physical input
+//! across several sides, which this fold does not model).
 
 use crate::batch::Batch;
 use crate::index::QueryId;
@@ -55,14 +56,6 @@ pub struct FastRun {
     pub completion_ns: Vec<(QueryId, f64)>,
     /// Tree statistics (see the module docs for which counters are modeled).
     pub stats: TreeStats,
-}
-
-/// Whether the fast fold reproduces the tree bit-exactly for this leaf
-/// shape: every leaf-PE input must carry at most one injector side, which
-/// holds for `ranks_per_leaf == 1` and every even value.
-#[must_use]
-pub fn supports_shape(ranks_per_leaf: usize) -> bool {
-    ranks_per_leaf == 1 || ranks_per_leaf.is_multiple_of(2)
 }
 
 /// Per-stage latencies of the modeled tree, precomputed once per run.
@@ -122,10 +115,6 @@ type Slot<'a> = Option<(Acc<'a>, f64)>;
 /// the simulated path. Queries referencing an index with no gathered vector
 /// are dropped and counted in [`TreeStats::incomplete_outputs`], mirroring
 /// the tree's behaviour for missing leaf inputs.
-///
-/// # Panics
-///
-/// Panics if the tree's `ranks_per_leaf` fails [`supports_shape`].
 #[must_use]
 pub fn fast_reduce(
     batch: &Batch,
@@ -134,11 +123,6 @@ pub fn fast_reduce(
     operator: &dyn ReduceOperator,
 ) -> FastRun {
     let config = tree.config();
-    assert!(
-        supports_shape(config.ranks_per_leaf),
-        "fast fold requires ranks_per_leaf == 1 or even, got {}",
-        config.ranks_per_leaf
-    );
     let span = (config.ranks_per_leaf / 2).max(1);
     let sides_per_leaf = if config.ranks_per_leaf >= 2 { 2 } else { 1 };
     let total_sides = tree.leaf_count() * sides_per_leaf;
@@ -408,15 +392,6 @@ mod tests {
         // unit's shared-value path on the tree side.
         let sets: Vec<_> = (0..16u32).map(|i| indexset![i % 8, (i + 3) % 8, 16 + i % 4]).collect();
         check_against_tree(&Batch::from_index_sets(sets), ReduceOp::Sum, 8, 2);
-    }
-
-    #[test]
-    fn odd_leaf_shapes_are_rejected_by_the_shape_gate() {
-        assert!(supports_shape(1));
-        assert!(supports_shape(2));
-        assert!(!supports_shape(3));
-        assert!(supports_shape(4));
-        assert!(!supports_shape(5));
     }
 
     #[test]

@@ -87,8 +87,9 @@ pub mod verify;
 pub use batch::{Batch, Query};
 pub use config::FafnirConfig;
 pub use engine::{
-    nearest_rank_percentile_ns, reference_lookup_with, FafnirEngine, LatencyBreakdown,
-    LookupResult, StreamResult, TrafficStats, TreeBackend,
+    nearest_rank_percentile_ns, reference_lookup_with, AnalyticView, FafnirEngine,
+    LatencyBreakdown, LookupResult, StreamResult, TrafficStats, TreeBackend,
+    HOST_LINK_BYTES_PER_NS,
 };
 pub use error::FafnirError;
 pub use index::{IndexSet, QueryId, VectorIndex};

@@ -29,11 +29,10 @@ use std::sync::Mutex;
 use fafnir_mem::{AnyMemory, Location, MemoryConfig, MemoryModel, MemoryStats, RequestId};
 
 use crate::batch::Batch;
-use crate::engine::{LatencyBreakdown, LookupResult, StreamResult, TrafficStats};
+use crate::engine::{LookupResult, StreamResult};
 use crate::error::FafnirError;
 use crate::index::VectorIndex;
 use crate::placement::EmbeddingSource;
-use crate::tree::TreeStats;
 
 /// One DRAM read a plan will issue, in submission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,76 +181,6 @@ pub fn gather_plan(plan: &MemoryPlan) -> GatherOutcome {
     }
 }
 
-/// Merges hardware-batch results in submission order under serial
-/// accelerator occupancy: batch k+1 starts when batch k finishes, so
-/// per-query completions shift by the running offset and totals add.
-#[derive(Debug, Default)]
-struct SequentialMerge {
-    result: Option<LookupResult>,
-    offset_ns: f64,
-}
-
-impl SequentialMerge {
-    fn push(&mut self, sub: LookupResult) {
-        let offset = self.offset_ns;
-        self.offset_ns += sub.latency.total_ns;
-        let Some(result) = &mut self.result else {
-            self.result = Some(sub);
-            return;
-        };
-        result.outputs.extend(sub.outputs);
-        result.per_query_ns.extend(sub.per_query_ns.iter().map(|&(q, t)| (q, offset + t)));
-        result.latency.total_ns += sub.latency.total_ns;
-        result.latency.memory_ns += sub.latency.memory_ns;
-        result.latency.compute_tail_ns += sub.latency.compute_tail_ns;
-        result.memory.merge(&sub.memory);
-        result.tree.ops.merge(&sub.tree.ops);
-        result.tree.levels = sub.tree.levels;
-        result.tree.pes += sub.tree.pes;
-        result.tree.completion_ns = result.latency.total_ns;
-        result.tree.max_buffer_items = result.tree.max_buffer_items.max(sub.tree.max_buffer_items);
-        result.tree.incomplete_outputs += sub.tree.incomplete_outputs;
-        result.traffic.total_references += sub.traffic.total_references;
-        result.traffic.vectors_read += sub.traffic.vectors_read;
-        result.traffic.bytes_from_dram += sub.traffic.bytes_from_dram;
-        result.traffic.bytes_to_host += sub.traffic.bytes_to_host;
-    }
-
-    fn finish(self) -> Option<LookupResult> {
-        self.result.map(|mut result| {
-            result.tree.completion_ns = result.latency.total_ns;
-            result.outputs.sort_by_key(|(query, _)| *query);
-            result.per_query_ns.sort_by_key(|(query, _)| *query);
-            result
-        })
-    }
-}
-
-/// Merges hardware-batch results that ran *concurrently* on independent
-/// accelerator instances: completions overlay (max), counters add.
-fn merge_concurrent(into: &mut Option<LookupResult>, sub: LookupResult) {
-    let Some(result) = into else {
-        *into = Some(sub);
-        return;
-    };
-    result.outputs.extend(sub.outputs);
-    result.per_query_ns.extend(sub.per_query_ns);
-    result.latency.total_ns = result.latency.total_ns.max(sub.latency.total_ns);
-    result.latency.memory_ns = result.latency.memory_ns.max(sub.latency.memory_ns);
-    result.latency.compute_tail_ns = (result.latency.total_ns - result.latency.memory_ns).max(0.0);
-    result.memory.merge(&sub.memory);
-    result.tree.ops.merge(&sub.tree.ops);
-    result.tree.levels = sub.tree.levels;
-    result.tree.pes += sub.tree.pes;
-    result.tree.completion_ns = result.latency.total_ns;
-    result.tree.max_buffer_items = result.tree.max_buffer_items.max(sub.tree.max_buffer_items);
-    result.tree.incomplete_outputs += sub.tree.incomplete_outputs;
-    result.traffic.total_references += sub.traffic.total_references;
-    result.traffic.vectors_read += sub.traffic.vectors_read;
-    result.traffic.bytes_from_dram += sub.traffic.bytes_from_dram;
-    result.traffic.bytes_to_host += sub.traffic.bytes_to_host;
-}
-
 /// The narrow interface serving layers need from an engine: a name and a
 /// whole-batch lookup.
 ///
@@ -342,7 +271,8 @@ pub trait GatherEngine {
     ) -> Result<LookupResult, FafnirError>;
 
     /// Runs a software batch through all three stages, merging hardware
-    /// batches in submission order (serial accelerator occupancy).
+    /// batches in submission order by the serial rule
+    /// ([`LookupResult::append_serial`]: one accelerator, back to back).
     ///
     /// # Errors
     ///
@@ -354,12 +284,15 @@ pub trait GatherEngine {
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
         let plans = self.preprocess(batch, source)?;
-        let mut merge = SequentialMerge::default();
+        if plans.is_empty() {
+            return Err(FafnirError::InvalidBatch("batch has no queries".into()));
+        }
+        let mut result = LookupResult::default();
         for plan in &plans {
             let gathered = self.gather(plan);
-            merge.push(self.reduce(plan, gathered, source)?);
+            result.append_serial(self.reduce(plan, gathered, source)?);
         }
-        merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
+        Ok(result)
     }
 
     /// Pipelined execution of a stream of batches: all plans' DRAM reads
@@ -544,14 +477,15 @@ where
         .collect()
 }
 
-/// Folds per-plan results into per-software-batch results (concurrent
-/// merge) and the stream summary, all in submission order.
+/// Folds per-plan results into per-software-batch results (the concurrent
+/// rule, [`LookupResult::overlay_concurrent`]) and the stream summary, all
+/// in submission order.
 fn merge_stream<P>(
     batch_count: usize,
     plans: &[(usize, P)],
     results: Vec<Result<LookupResult, FafnirError>>,
 ) -> Result<ParallelStreamResult, FafnirError> {
-    let mut per_batch: Vec<Option<LookupResult>> = (0..batch_count).map(|_| None).collect();
+    let mut per_batch: Vec<LookupResult> = vec![LookupResult::default(); batch_count];
     let mut stream_memory = MemoryStats::default();
     let mut per_batch_completion_ns = Vec::with_capacity(results.len());
     let mut total_ns = 0.0f64;
@@ -564,18 +498,8 @@ fn merge_stream<P>(
         stream_memory.merge(&sub.memory);
         total_ns = total_ns.max(sub.latency.total_ns);
         per_batch_completion_ns.push(sub.latency.total_ns);
-        merge_concurrent(&mut per_batch[*slot], sub);
+        per_batch[*slot].overlay_concurrent(sub);
     }
-    let per_batch = per_batch
-        .into_iter()
-        .map(|merged| {
-            let mut result = merged.expect("every software batch produced a plan");
-            result.tree.completion_ns = result.latency.total_ns;
-            result.outputs.sort_by_key(|(query, _)| *query);
-            result.per_query_ns.sort_by_key(|(query, _)| *query);
-            result
-        })
-        .collect();
     Ok(ParallelStreamResult {
         per_batch,
         stream: StreamResult {
@@ -587,32 +511,6 @@ fn merge_stream<P>(
             vectors_read,
         },
     })
-}
-
-/// Shared reduce-stage helper for engines whose reduction is modelled
-/// analytically (the baselines): every query completes when the whole batch
-/// does, and no tree statistics exist.
-#[must_use]
-pub fn analytic_result(
-    outputs: Vec<(crate::index::QueryId, Vec<f32>)>,
-    total_ns: f64,
-    memory_ns: f64,
-    memory: MemoryStats,
-    traffic: TrafficStats,
-) -> LookupResult {
-    let per_query_ns = outputs.iter().map(|&(query, _)| (query, total_ns)).collect();
-    LookupResult {
-        outputs,
-        per_query_ns,
-        latency: LatencyBreakdown {
-            total_ns,
-            memory_ns,
-            compute_tail_ns: (total_ns - memory_ns).max(0.0),
-        },
-        memory,
-        tree: TreeStats::default(),
-        traffic,
-    }
 }
 
 #[cfg(test)]
@@ -627,9 +525,39 @@ mod tests {
     use fafnir_mem::MemoryConfig;
 
     #[test]
+    fn per_level_outputs_add_up_over_hardware_batches() {
+        // 40 queries at `batch_capacity` 32: two plans on the event-timed
+        // tree. Both merge rules must sum the plans' per-level outputs.
+        let mem = MemoryConfig::ddr4_2400_4ch();
+        let source = StripedSource::new(mem.topology, 128);
+        let engine = FafnirEngine::new(FafnirConfig::paper_default(), mem).unwrap();
+        let batch = Batch::from_index_sets((0..40u32).map(|q| {
+            IndexSet::from_iter_dedup((0..6).map(|j| VectorIndex((q * 7 + j * 13) % 300)))
+        }));
+        let plans = engine.preprocess(&batch, &source).unwrap();
+        assert_eq!(plans.len(), 2);
+        let mut expected: Vec<usize> = Vec::new();
+        for plan in &plans {
+            let result = engine.reduce(plan, engine.gather(plan), &source).unwrap();
+            let levels = &result.tree.per_level_outputs;
+            assert!(levels.iter().sum::<usize>() > 0, "every plan emits outputs");
+            expected.resize(expected.len().max(levels.len()), 0);
+            for (total, count) in expected.iter_mut().zip(levels) {
+                *total += count;
+            }
+        }
+        let serial = GatherEngine::lookup(&engine, &batch, &source).unwrap();
+        assert_eq!(serial.tree.per_level_outputs, expected, "serial rule");
+        let parallel = ParallelBatchDriver::new(2)
+            .lookup_stream(&engine, std::slice::from_ref(&batch), &source)
+            .unwrap();
+        assert_eq!(parallel.per_batch[0].tree.per_level_outputs, expected, "concurrent rule");
+    }
+
+    #[test]
     fn parallel_driver_is_thread_count_invariant_for_every_operator() {
         // The accumulator merge must commute with the submission-order
-        // merge: plans never share queries, so `merge_concurrent` only
+        // merge: plans never share queries, so `overlay_concurrent` only
         // overlays latencies and extends outputs, and the result is
         // byte-identical for any worker count — including for operators
         // whose accumulators carry state (Mean counts, TopK heaps).

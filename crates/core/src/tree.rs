@@ -36,6 +36,26 @@ pub struct TreeStats {
     pub incomplete_outputs: usize,
 }
 
+impl TreeStats {
+    /// Adds another traversal's counters into these: op counts, PEs,
+    /// incomplete outputs and per-level outputs (element-wise) add; levels
+    /// and buffer occupancy take the max. `completion_ns` is left to the
+    /// caller, which knows how the two traversals overlapped in time.
+    pub fn merge(&mut self, other: &TreeStats) {
+        self.ops.merge(&other.ops);
+        self.levels = self.levels.max(other.levels);
+        self.pes += other.pes;
+        if self.per_level_outputs.len() < other.per_level_outputs.len() {
+            self.per_level_outputs.resize(other.per_level_outputs.len(), 0);
+        }
+        for (total, count) in self.per_level_outputs.iter_mut().zip(&other.per_level_outputs) {
+            *total += count;
+        }
+        self.max_buffer_items = self.max_buffer_items.max(other.max_buffer_items);
+        self.incomplete_outputs += other.incomplete_outputs;
+    }
+}
+
 /// Result of running a batch through the tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeRun {

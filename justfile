@@ -78,6 +78,23 @@ bench-cluster *ARGS:
 bench-spmv *ARGS:
     cargo bench -p fafnir-bench --bench spmv_partition -- {{ARGS}}
 
+# Write the stdout of every deterministic figure and table bench, and of
+# `fafnir lookup --engine all` (sum, mean, interactive), to DIR, one file
+# each. Run it on two checkouts and `diff -r` the directories to check that
+# a change leaves every printed figure byte-identical.
+figures dir:
+    mkdir -p {{dir}}
+    cargo build --release -p fafnir-cli
+    for bench in fig03_unique_indices fig09_spmv_iterations fig11_single_query \
+        fig12_end_to_end fig13_batch_scalability fig14_spmv_speedup \
+        fig15_memory_accesses fig16_power_area table01_buffers table04_latency \
+        ablations extensions; do \
+        cargo bench -q -p fafnir-bench --bench $bench > {{dir}}/$bench.txt || exit 1; \
+    done
+    target/release/fafnir lookup --engine all --op sum > {{dir}}/lookup_sum.txt
+    target/release/fafnir lookup --engine all --op mean > {{dir}}/lookup_mean.txt
+    target/release/fafnir lookup --engine all --interactive > {{dir}}/lookup_interactive.txt
+
 # Run the full (24-scenario) cross-mode calibration matrix and check it
 # against the recorded envelope; exits non-zero on a violation.
 calibrate:

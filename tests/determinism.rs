@@ -2,8 +2,8 @@
 //! bit-identical results across runs — the property that makes every figure
 //! in this repository reproducible on any machine.
 
-use fafnir_baselines::{LookupEngine, RecNmpEngine, TensorDimmEngine};
-use fafnir_core::{FafnirConfig, FafnirEngine, StripedSource};
+use fafnir_baselines::{RecNmpEngine, TensorDimmEngine};
+use fafnir_core::{FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::tablewise::TablewiseGenerator;

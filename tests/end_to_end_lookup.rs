@@ -2,8 +2,8 @@
 //! generated traffic must agree functionally and respect the paper's
 //! data-movement invariants.
 
-use fafnir_baselines::{LookupEngine, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
-use fafnir_core::{Batch, FafnirEngine, ReduceOp};
+use fafnir_baselines::{NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+use fafnir_core::{Batch, FafnirEngine, GatherEngine, ReduceOp};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::EmbeddingTableSet;
@@ -29,14 +29,14 @@ fn all_engines_agree_on_zipf_batches() {
         let batch = generator.batch(16);
         let reference =
             fafnir_core::reference_lookup_with(&batch, &tables, &*ReduceOp::Sum.operator());
-        for outcome in [
+        for result in [
             fafnir.lookup(&batch, &tables).unwrap(),
             recnmp.lookup(&batch, &tables).unwrap(),
             tensordimm.lookup(&batch, &tables).unwrap(),
             no_ndp.lookup(&batch, &tables).unwrap(),
         ] {
-            assert_eq!(outcome.outputs.len(), reference.len());
-            for ((qa, got), (qb, want)) in outcome.outputs.iter().zip(&reference) {
+            assert_eq!(result.outputs.len(), reference.len());
+            for ((qa, got), (qb, want)) in result.outputs.iter().zip(&reference) {
                 assert_eq!(qa, qb);
                 for (x, y) in got.iter().zip(want) {
                     assert!((x - y).abs() <= 1e-3_f32.max(y.abs() * 1e-4), "{qa}: {x} vs {y}");
@@ -53,13 +53,13 @@ fn fafnir_moves_least_data_to_host() {
     let recnmp = RecNmpEngine::paper_default(mem);
     let no_ndp = NoNdpEngine::paper_default(mem);
     let batch = traffic(102).batch(32);
-    let fafnir_outcome = fafnir.lookup(&batch, &tables).unwrap();
-    let recnmp_outcome = recnmp.lookup(&batch, &tables).unwrap();
-    let no_ndp_outcome = no_ndp.lookup(&batch, &tables).unwrap();
+    let fafnir_result = fafnir.lookup(&batch, &tables).unwrap();
+    let recnmp_result = recnmp.lookup(&batch, &tables).unwrap();
+    let no_ndp_result = no_ndp.lookup(&batch, &tables).unwrap();
     // FAFNIR's guarantee: exactly n × v bytes to the host.
-    assert_eq!(fafnir_outcome.bytes_to_host, 32 * 512);
-    assert!(fafnir_outcome.bytes_to_host <= recnmp_outcome.bytes_to_host);
-    assert!(recnmp_outcome.bytes_to_host <= no_ndp_outcome.bytes_to_host);
+    assert_eq!(fafnir_result.traffic.bytes_to_host, 32 * 512);
+    assert!(fafnir_result.traffic.bytes_to_host <= recnmp_result.traffic.bytes_to_host);
+    assert!(recnmp_result.traffic.bytes_to_host <= no_ndp_result.traffic.bytes_to_host);
 }
 
 #[test]
@@ -69,9 +69,9 @@ fn dedup_never_reads_more_than_references() {
     let mut generator = traffic(103);
     for batch_size in [4usize, 8, 16, 32] {
         let batch = generator.batch(batch_size);
-        let outcome = fafnir.lookup(&batch, &tables).unwrap();
-        assert_eq!(outcome.vectors_read, batch.unique_indices().len() as u64);
-        assert!(outcome.vectors_read <= batch.total_references() as u64);
+        let result = fafnir.lookup(&batch, &tables).unwrap();
+        assert_eq!(result.traffic.vectors_read, batch.unique_indices().len() as u64);
+        assert!(result.traffic.vectors_read <= batch.total_references() as u64);
     }
 }
 
@@ -89,9 +89,9 @@ fn fafnir_and_recnmp_share_the_memory_phase_profile() {
     };
     let recnmp = RecNmpEngine::paper_default(mem).without_cache();
     let batch = traffic(104).batch(8);
-    let fafnir_outcome = fafnir.lookup(&batch, &tables).unwrap();
-    let recnmp_outcome = recnmp.lookup(&batch, &tables).unwrap();
-    let ratio = recnmp_outcome.memory_ns / fafnir_outcome.memory_ns;
+    let fafnir_result = fafnir.lookup(&batch, &tables).unwrap();
+    let recnmp_result = recnmp.lookup(&batch, &tables).unwrap();
+    let ratio = recnmp_result.latency.memory_ns / fafnir_result.latency.memory_ns;
     assert!((0.8..1.25).contains(&ratio), "memory phases diverged: {ratio}");
 }
 
@@ -100,10 +100,10 @@ fn oversized_software_batches_round_trip() {
     let (mem, tables) = tables();
     let fafnir = FafnirEngine::paper_default(mem).unwrap();
     let batch: Batch = traffic(105).batch(100); // > hardware capacity 32
-    let outcome = fafnir.lookup(&batch, &tables).unwrap();
-    assert_eq!(outcome.outputs.len(), 100);
+    let result = fafnir.lookup(&batch, &tables).unwrap();
+    assert_eq!(result.outputs.len(), 100);
     let reference = fafnir_core::reference_lookup_with(&batch, &tables, &*ReduceOp::Sum.operator());
-    assert_eq!(outcome.outputs.len(), reference.len());
+    assert_eq!(result.outputs.len(), reference.len());
 }
 
 #[test]
