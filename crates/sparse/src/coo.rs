@@ -54,15 +54,7 @@ impl CooMatrix {
     /// Sorts entries row-major and merges duplicate coordinates by summing.
     /// Zero-valued results are kept (explicit zeros are legal).
     pub fn sum_duplicates(&mut self) {
-        self.entries.sort_by_key(|&(row, col, _)| (row, col));
-        let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
-        for &(row, col, value) in &self.entries {
-            match merged.last_mut() {
-                Some((r, c, v)) if *r == row && *c == col => *v += value,
-                _ => merged.push((row, col, value)),
-            }
-        }
-        self.entries = merged;
+        sum_duplicates(&mut self.entries);
     }
 
     /// Row count.
@@ -109,6 +101,23 @@ impl CooMatrix {
         }
         y
     }
+}
+
+/// Sorts triplets row-major (stably) and sums duplicate coordinates in
+/// entry order, in place. Input that is already strictly row-major is left
+/// as it is, which is what the sort and the sums would leave.
+pub(crate) fn sum_duplicates(entries: &mut Vec<(usize, usize, f64)>) {
+    if entries.is_sorted_by(|a, b| (a.0, a.1) < (b.0, b.1)) {
+        return;
+    }
+    entries.sort_by_key(|&(row, col, _)| (row, col));
+    entries.dedup_by(|next, kept| {
+        let duplicate = (next.0, next.1) == (kept.0, kept.1);
+        if duplicate {
+            kept.2 += next.2;
+        }
+        duplicate
+    });
 }
 
 #[cfg(test)]

@@ -8,10 +8,18 @@
 //! Matrices wider than the tree run in iterations and rounds per
 //! [`crate::iteration::SpmvPlan`]: iteration 0 multiplies, later iterations
 //! only merge (leaf PEs skip the multiply, exactly like embedding mode).
+//!
+//! The engine allocates per run, not per stream: an iteration's streams
+//! sit back to back in one buffer, each round's tree alternates between two
+//! reused level buffers, and every merge is the one kernel behind
+//! [`crate::stream::merge_two`]. Each round pairs streams exactly as
+//! [`crate::stream::merge_tree`] does — (0, 1), (2, 3), …, an odd last
+//! stream carried up unmerged — so every sum associates, and every output
+//! bit and [`StreamOps`] counter comes out, as in a `merge_tree` per round.
 
 use crate::iteration::SpmvPlan;
 use crate::lil::LilMatrix;
-use crate::stream::{merge_tree, PartialStream, StreamOps};
+use crate::stream::{reduce_group, PartialStream, Runs, StreamOps, TreeScratch};
 
 /// Per-entry timing constants of the SpMV engines, in nanoseconds.
 ///
@@ -149,6 +157,41 @@ pub fn execute(matrix: &LilMatrix, x: &[f64], vector_size: usize) -> SpmvRun {
 /// [`execute`]).
 #[must_use]
 pub fn execute_to_stream(matrix: &LilMatrix, x: &[f64], vector_size: usize) -> SpmvStreamRun {
+    let mut root = Runs::default();
+    let (plan, volumes, ops) =
+        execute_into(matrix, x, vector_size, &mut SpmvScratch::default(), &mut root);
+    SpmvStreamRun { stream: PartialStream::from_root(root), plan, volumes, ops }
+}
+
+/// The reusable buffers of [`execute_into`]: the current and next
+/// iteration's streams, back to back, and the merge trees' level buffers.
+#[derive(Debug, Default)]
+pub(crate) struct SpmvScratch {
+    current: Runs,
+    next: Runs,
+    tree: TreeScratch,
+}
+
+/// The engine behind [`execute_to_stream`]: appends the final combined
+/// stream to `root` as one run and returns the plan, per-iteration volumes
+/// and operation counts.
+///
+/// Every round reduces its streams through [`reduce_group`], the same
+/// pairwise tree [`crate::stream::merge_tree`] builds, so the association
+/// of every sum — and with it every output bit and counter — is that of a
+/// `merge_tree` per round.
+///
+/// # Panics
+///
+/// Panics if `x.len() != matrix.cols()` or `vector_size < 2` (see
+/// [`execute`]).
+pub(crate) fn execute_into(
+    matrix: &LilMatrix,
+    x: &[f64],
+    vector_size: usize,
+    scratch: &mut SpmvScratch,
+    root: &mut Runs,
+) -> (SpmvPlan, Vec<u64>, StreamOps) {
     assert_eq!(x.len(), matrix.cols(), "operand length mismatch");
     assert!(
         vector_size >= 2,
@@ -156,43 +199,45 @@ pub fn execute_to_stream(matrix: &LilMatrix, x: &[f64], vector_size: usize) -> S
          shrinks the stream count"
     );
     let plan = SpmvPlan::new(matrix.cols(), vector_size);
-    let mut ops = StreamOps::default();
+    let mut ops = StreamOps { multiplies: matrix.nnz() as u64, ..StreamOps::default() };
     let mut volumes = vec![matrix.nnz() as u64];
+    let SpmvScratch { current, next, tree } = scratch;
 
-    // Iteration 0: one round per column chunk; leaf PEs multiply, the tree
-    // merges the chunk's column streams into one partial stream.
-    let mut streams: Vec<PartialStream> = matrix
-        .column_chunks(vector_size)
-        .map(|chunk| {
-            let leaf_streams: Vec<PartialStream> = chunk
-                .columns()
-                .map(|(col, list)| {
-                    ops.multiplies += list.len() as u64;
-                    PartialStream::from_sorted(
-                        list.iter().map(|&(row, value)| (row, value * x[col])).collect(),
-                    )
-                })
-                .collect();
-            merge_tree(leaf_streams, &mut ops)
-        })
-        .collect();
-
-    // Merge iterations: group up to `vector_size` streams per round; leaf
-    // PEs skip the multiply (Table II).
-    while streams.len() > 1 {
-        volumes.push(streams.iter().map(|s| s.len() as u64).sum());
-        let mut next = Vec::with_capacity(streams.len().div_ceil(vector_size));
-        let mut iter = streams.into_iter().peekable();
-        while iter.peek().is_some() {
-            let group: Vec<PartialStream> = iter.by_ref().take(vector_size).collect();
-            next.push(merge_tree(group, &mut ops));
+    // Iteration 0's leaves: each column's products, one stream per column,
+    // equal rows combined as `PartialStream::push` combines them.
+    current.clear();
+    for (list, &scale) in matrix.columns().zip(x) {
+        for &(row, value) in list {
+            current.push(row, value * scale);
         }
-        streams = next;
+        current.seal();
     }
 
-    let stream = streams.pop().unwrap_or_default();
+    // Every iteration reduces rounds of up to `vector_size` streams:
+    // iteration 0 one round per column chunk (leaf PEs multiply), merge
+    // iterations the previous iteration's outputs (leaf PEs skip the
+    // multiply, Table II). A single round is the last and writes the root.
+    loop {
+        let streams = current.len();
+        let last = streams <= vector_size;
+        let out = if last {
+            &mut *root
+        } else {
+            next.clear();
+            &mut *next
+        };
+        for start in (0..streams).step_by(vector_size) {
+            let round = start..(start + vector_size).min(streams);
+            reduce_group(current, round, out, tree, &mut ops);
+        }
+        if last {
+            break;
+        }
+        std::mem::swap(current, next);
+        volumes.push(current.entries() as u64);
+    }
     debug_assert_eq!(volumes.len(), plan.iterations());
-    SpmvStreamRun { stream, plan, volumes, ops }
+    (plan, volumes, ops)
 }
 
 #[cfg(test)]

@@ -7,10 +7,19 @@
 //! columns — one sorted `(row, value)` list per column — so a column chunk
 //! is exactly the slice of the operand vector it needs, and each leaf PE
 //! can stream `value × x[col]` products in row order.
+//!
+//! The lists are stored flat, column-compressed: one `(row, value)` array
+//! holding every column back to back, and `cols + 1` offsets into it.
 
 use crate::coo::CooMatrix;
 
 /// A LIL sparse matrix: one row-sorted `(row, value)` list per column.
+///
+/// The lists live back to back in one array, column `c` at
+/// `offsets[c]..offsets[c + 1]`, built by a stable counting sort by column:
+/// a list keeps its entries in the order the COO holds them, then (only if
+/// that order is not row-sorted) a stable sort by row, so duplicate
+/// coordinates stay as separate entries in insertion order.
 ///
 /// # Examples
 ///
@@ -25,10 +34,18 @@ use crate::coo::CooMatrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LilMatrix {
     rows: usize,
-    columns: Vec<Vec<(usize, f64)>>,
+    /// `cols + 1` offsets into `entries`; column `c` is
+    /// `entries[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<usize>,
+    entries: Vec<(usize, f64)>,
 }
 
 impl LilMatrix {
+    /// A 0 × 0 matrix, the starting point of [`LilMatrix::refill`].
+    pub(crate) fn empty() -> Self {
+        Self { rows: 0, offsets: vec![0], entries: Vec::new() }
+    }
+
     /// Row count.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -38,13 +55,13 @@ impl LilMatrix {
     /// Column count.
     #[must_use]
     pub fn cols(&self) -> usize {
-        self.columns.len()
+        self.offsets.len() - 1
     }
 
     /// Stored entries.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        self.columns.iter().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// One column's `(row, value)` list, sorted by row.
@@ -54,7 +71,7 @@ impl LilMatrix {
     /// Panics if `col` is out of bounds.
     #[must_use]
     pub fn column(&self, col: usize) -> &[(usize, f64)] {
-        &self.columns[col]
+        &self.entries[self.offsets[col]..self.offsets[col + 1]]
     }
 
     /// Iterates over column chunks of `chunk_cols` columns each — the
@@ -74,6 +91,11 @@ impl LilMatrix {
         })
     }
 
+    /// Iterates every column's list in column order.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = &[(usize, f64)]> + '_ {
+        self.offsets.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+
     /// Sparse matrix–vector product (reference path through LIL).
     ///
     /// # Panics
@@ -83,26 +105,57 @@ impl LilMatrix {
     pub fn multiply(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols(), "operand length mismatch");
         let mut y = vec![0.0; self.rows];
-        for (col, list) in self.columns.iter().enumerate() {
-            let scale = x[col];
+        for (list, &scale) in self.columns().zip(x) {
             for &(row, value) in list {
                 y[row] += value * scale;
             }
         }
         y
     }
+
+    /// Rebuilds this matrix in place from `(row, col, value)` triplets of a
+    /// `rows × cols` matrix, reusing its buffers — the partitioned driver
+    /// refills one `LilMatrix` for every rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index is out of bounds.
+    pub(crate) fn refill(&mut self, rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) {
+        self.rows = rows;
+        // Counting sort by column: count into `offsets[col + 1]`, prefix-sum
+        // to column starts, place while bumping each start to its column's
+        // end, then shift the ends right by one to get the starts back.
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(cols + 1, 0);
+        for &(_, col, _) in triplets {
+            offsets[col + 1] += 1;
+        }
+        for col in 0..cols {
+            offsets[col + 1] += offsets[col];
+        }
+        self.entries.clear();
+        self.entries.resize(triplets.len(), (0, 0.0));
+        for &(row, col, value) in triplets {
+            self.entries[offsets[col]] = (row, value);
+            offsets[col] += 1;
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        // Row-major input leaves every column row-sorted already.
+        if !triplets.is_sorted_by_key(|&(row, _, _)| row) {
+            for col in 0..cols {
+                self.entries[offsets[col]..offsets[col + 1]].sort_by_key(|&(row, _)| row);
+            }
+        }
+    }
 }
 
 impl From<&CooMatrix> for LilMatrix {
     fn from(coo: &CooMatrix) -> Self {
-        let mut columns = vec![Vec::new(); coo.cols()];
-        for &(row, col, value) in coo.entries() {
-            columns[col].push((row, value));
-        }
-        for list in &mut columns {
-            list.sort_by_key(|&(row, _)| row);
-        }
-        Self { rows: coo.rows(), columns }
+        let mut lil = Self::empty();
+        lil.refill(coo.rows(), coo.cols(), coo.entries());
+        lil
     }
 }
 
@@ -136,7 +189,7 @@ impl<'a> LilChunk<'a> {
     /// Non-zeros in the chunk.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        (self.start..self.end).map(|col| self.matrix.column(col).len()).sum()
+        self.matrix.offsets[self.end] - self.matrix.offsets[self.start]
     }
 
     /// Iterates the chunk's columns as `(col, list)` pairs.

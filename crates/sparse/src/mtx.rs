@@ -15,6 +15,16 @@
 
 use crate::coo::CooMatrix;
 
+/// The largest row or column count [`parse`] accepts.
+///
+/// A size line is untrusted, and the SpMV paths size dense buffers by the
+/// declared dimensions: the operand `x` and output `y`, the LIL column
+/// offsets, the partition's band tables. 2^26 (67,108,864) admits Fig. 9's
+/// 20-million-column matrices with room to spare and keeps each such
+/// buffer at or under 512 MiB; a larger dimension is an [`MtxError`] on the
+/// size line.
+pub const MAX_DIMENSION: usize = 1 << 26;
+
 /// Error reading a Matrix Market file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MtxError {
@@ -71,8 +81,8 @@ enum Field {
 /// # Errors
 ///
 /// Returns [`MtxError`] naming the offending line for malformed headers,
-/// counts, indices out of range, or unsupported flavours (`array`,
-/// `complex`, `hermitian`).
+/// counts, dimensions above [`MAX_DIMENSION`], indices out of range, or
+/// unsupported flavours (`array`, `complex`, `hermitian`).
 pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
     let mut lines = text.lines().enumerate();
 
@@ -125,6 +135,12 @@ pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
     let (rows, cols, nnz) = size.ok_or_else(|| MtxError::new(0, "missing size line"))?;
     if rows == 0 || cols == 0 {
         return Err(MtxError::new(size_line, "matrix dimensions must be non-zero"));
+    }
+    if rows > MAX_DIMENSION || cols > MAX_DIMENSION {
+        return Err(MtxError::new(
+            size_line,
+            format!("matrix dimensions {rows} x {cols} exceed the limit of {MAX_DIMENSION}"),
+        ));
     }
     // Mirrored (col, row) entries are only meaningful on square matrices;
     // on a non-square size line they would land out of bounds and panic in

@@ -27,11 +27,11 @@
 
 use std::ops::Range;
 
-use crate::coo::CooMatrix;
-use crate::fafnir_spmv::{self, SpmvRun, SpmvTiming};
+use crate::coo::{self, CooMatrix};
+use crate::fafnir_spmv::{self, SpmvRun, SpmvScratch, SpmvTiming};
 use crate::iteration::SpmvPlan;
 use crate::lil::LilMatrix;
-use crate::stream::{merge_tree, merge_two, PartialStream, StreamOps};
+use crate::stream::{merge_into, reduce_group, Runs, StreamOps, TreeScratch};
 
 /// How the matrix is split across ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +164,37 @@ fn band_of(bounds: &[usize], index: usize) -> usize {
     bounds.partition_point(|&b| b <= index) - 1
 }
 
+/// Row→band and column→band lookup tables: one load per coordinate instead
+/// of a binary search over the boundaries, for passes over every entry.
+struct BandTables {
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    col_bands: usize,
+}
+
+impl BandTables {
+    fn new(row_bounds: &[usize], col_bounds: &[usize]) -> Self {
+        let table = |bounds: &[usize]| -> Vec<u32> {
+            let mut table = Vec::with_capacity(bounds[bounds.len() - 1]);
+            for (band, window) in bounds.windows(2).enumerate() {
+                let band = u32::try_from(band).expect("band count fits in u32");
+                table.resize(window[1], band);
+            }
+            table
+        };
+        Self { rows: table(row_bounds), cols: table(col_bounds), col_bands: col_bounds.len() - 1 }
+    }
+
+    /// The rank owning cell `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinate is out of bounds.
+    fn rank(&self, row: usize, col: usize) -> usize {
+        self.rows[row] as usize * self.col_bands + self.cols[col] as usize
+    }
+}
+
 impl SpmvPartition {
     /// Plans a partition of `matrix` over `ranks` ranks.
     ///
@@ -213,9 +244,9 @@ impl SpmvPartition {
                 nnz: 0,
             })
             .collect();
+        let tables = BandTables::new(&row_bounds, &col_bounds);
         for &(row, col, _) in matrix.entries() {
-            let rank = band_of(&row_bounds, row) * col_bands + band_of(&col_bounds, col);
-            spans[rank].nnz += 1;
+            spans[tables.rank(row, col)].nnz += 1;
         }
         Self { strategy, rows, cols, nnz: matrix.nnz(), row_bounds, col_bounds, spans }
     }
@@ -266,22 +297,6 @@ impl SpmvPartition {
         }
         let max = self.spans.iter().map(|s| s.nnz).max().unwrap_or(0) as f64;
         max / (self.nnz as f64 / self.ranks() as f64)
-    }
-
-    /// One rank's sub-matrix in local (window-relative) coordinates,
-    /// extracted with a single scan — the streaming driver's per-rank step.
-    #[must_use]
-    fn extract(&self, matrix: &CooMatrix, rank: usize) -> CooMatrix {
-        let span = &self.spans[rank];
-        CooMatrix::from_triplets(
-            span.rows.len(),
-            span.cols.len(),
-            matrix
-                .entries()
-                .iter()
-                .filter(|(row, col, _)| span.rows.contains(row) && span.cols.contains(col))
-                .map(|&(row, col, value)| (row - span.rows.start, col - span.cols.start, value)),
-        )
     }
 }
 
@@ -385,31 +400,53 @@ impl PartitionedRun {
     }
 }
 
-/// Runs one rank's window through the tree path.
+/// The buffers one rank's run needs, reused from rank to rank.
+struct RankScratch {
+    lil: LilMatrix,
+    spmv: SpmvScratch,
+}
+
+impl RankScratch {
+    fn new() -> Self {
+        Self { lil: LilMatrix::empty(), spmv: SpmvScratch::default() }
+    }
+}
+
+/// Runs one rank's window through the tree path and appends its final
+/// combined stream to `partials` as one run. `triplets` holds the window's
+/// entries in local coordinates; duplicates are summed and the order made
+/// row-major first, as [`CooMatrix::from_triplets`] would.
 fn run_rank(
     span: &RankSpan,
-    sub: &CooMatrix,
+    triplets: &mut Vec<(usize, usize, f64)>,
     x: &[f64],
     vector_size: usize,
-) -> (RankRun, PartialStream) {
-    let lil = LilMatrix::from(sub);
-    let run = fafnir_spmv::execute_to_stream(&lil, &x[span.cols.clone()], vector_size);
-    (
-        RankRun {
-            rank: span.rank,
-            nnz: sub.nnz() as u64,
-            plan: run.plan,
-            volumes: run.volumes,
-            ops: run.ops,
-            partial_entries: run.stream.len() as u64,
-        },
-        run.stream,
-    )
+    scratch: &mut RankScratch,
+    partials: &mut Runs,
+) -> RankRun {
+    coo::sum_duplicates(triplets);
+    scratch.lil.refill(span.rows.len(), span.cols.len(), triplets);
+    let before = partials.entries();
+    let (plan, volumes, ops) = fafnir_spmv::execute_into(
+        &scratch.lil,
+        &x[span.cols.clone()],
+        vector_size,
+        &mut scratch.spmv,
+        partials,
+    );
+    RankRun {
+        rank: span.rank,
+        nnz: triplets.len() as u64,
+        plan,
+        volumes,
+        ops,
+        partial_entries: (partials.entries() - before) as u64,
+    }
 }
 
 /// Scatters a band's merged stream into the output window.
-fn scatter(y: &mut [f64], rows: &Range<usize>, stream: &PartialStream) {
-    for &(row, value) in stream.entries() {
+fn scatter(y: &mut [f64], rows: &Range<usize>, stream: &[(usize, f64)]) {
+    for &(row, value) in stream {
         y[rows.start + row] += value;
     }
 }
@@ -436,22 +473,26 @@ pub fn execute_partitioned(
         "partition was planned for a different matrix"
     );
     // One pass buckets every entry into its rank's local coordinates.
+    let tables = BandTables::new(&partition.row_bounds, &partition.col_bounds);
     let mut buckets: Vec<Vec<(usize, usize, f64)>> =
         partition.spans.iter().map(|s| Vec::with_capacity(s.nnz)).collect();
     for &(row, col, value) in matrix.entries() {
-        let rank = partition.rank_of(row, col);
+        let rank = tables.rank(row, col);
         let span = &partition.spans[rank];
         buckets[rank].push((row - span.rows.start, col - span.cols.start, value));
     }
 
-    let mut rank_runs = Vec::with_capacity(partition.ranks());
-    let mut streams = Vec::with_capacity(partition.ranks());
-    for (span, triplets) in partition.spans.iter().zip(buckets) {
-        let sub = CooMatrix::from_triplets(span.rows.len(), span.cols.len(), triplets);
-        let (run, stream) = run_rank(span, &sub, x, vector_size);
-        rank_runs.push(run);
-        streams.push(stream);
-    }
+    // Every rank's final stream lands in `partials`, one run per rank.
+    let mut scratch = RankScratch::new();
+    let mut partials = Runs::default();
+    let rank_runs: Vec<RankRun> = partition
+        .spans
+        .iter()
+        .zip(buckets)
+        .map(|(span, mut bucket)| {
+            run_rank(span, &mut bucket, x, vector_size, &mut scratch, &mut partials)
+        })
+        .collect();
 
     // Synchronization: within each row band, reduce the column ranks'
     // partial rows; across bands, outputs are disjoint.
@@ -459,17 +500,18 @@ pub fn execute_partitioned(
     let (mut sync_entries, mut sync_rounds) = (0u64, 0usize);
     let mut sync_ops = StreamOps::default();
     let col_bands = partition.col_bands();
-    let mut streams = streams.into_iter();
+    let (mut merged, mut tree) = (Runs::default(), TreeScratch::default());
     for band in 0..partition.row_bands() {
-        let band_rows = partition.spans[band * col_bands].rows.clone();
-        let band_streams: Vec<PartialStream> = streams.by_ref().take(col_bands).collect();
-        if band_streams.len() > 1 {
-            sync_entries += band_streams.iter().map(|s| s.len() as u64).sum::<u64>();
+        let band_rows = &partition.spans[band * col_bands].rows;
+        let group = band * col_bands..(band + 1) * col_bands;
+        if col_bands > 1 {
+            sync_entries += partials.entries_in(&group) as u64;
             sync_rounds += 1;
-            let merged = merge_tree(band_streams, &mut sync_ops);
-            scatter(&mut y, &band_rows, &merged);
-        } else if let Some(stream) = band_streams.into_iter().next() {
-            scatter(&mut y, &band_rows, &stream);
+            merged.clear();
+            reduce_group(&partials, group, &mut merged, &mut tree, &mut sync_ops);
+            scatter(&mut y, band_rows, merged.run(0));
+        } else {
+            scatter(&mut y, band_rows, partials.run(band));
         }
     }
     PartitionedRun {
@@ -514,24 +556,39 @@ pub fn stream_partitioned(
     let (mut sync_entries, mut sync_rounds) = (0u64, 0usize);
     let mut sync_ops = StreamOps::default();
     let col_bands = partition.col_bands();
+    let mut scratch = RankScratch::new();
+    let (mut bucket, mut partial) = (Vec::new(), Runs::default());
+    let (mut accumulator, mut merged) = (Vec::new(), Vec::new());
     for band in 0..partition.row_bands() {
-        let band_rows = partition.spans[band * col_bands].rows.clone();
-        let mut accumulator = PartialStream::new();
-        for rank in band * col_bands..(band + 1) * col_bands {
-            let sub = partition.extract(matrix, rank);
-            let (run, stream) = run_rank(&partition.spans[rank], &sub, x, vector_size);
-            rank_runs.push(run);
+        let band_rows = &partition.spans[band * col_bands].rows;
+        accumulator.clear();
+        for span in &partition.spans[band * col_bands..(band + 1) * col_bands] {
+            // One scan extracts the rank's window in local coordinates.
+            bucket.clear();
+            bucket.extend(
+                matrix
+                    .entries()
+                    .iter()
+                    .filter(|(row, col, _)| span.rows.contains(row) && span.cols.contains(col))
+                    .map(|&(row, col, value)| {
+                        (row - span.rows.start, col - span.cols.start, value)
+                    }),
+            );
+            partial.clear();
+            rank_runs.push(run_rank(span, &mut bucket, x, vector_size, &mut scratch, &mut partial));
             if col_bands > 1 {
-                sync_entries += stream.len() as u64;
-                accumulator = merge_two(&accumulator, &stream, &mut sync_ops);
-            } else {
-                accumulator = stream;
+                sync_entries += partial.entries() as u64;
+                merged.clear();
+                merge_into(&accumulator, partial.run(0), &mut merged, &mut sync_ops);
+                std::mem::swap(&mut accumulator, &mut merged);
             }
         }
         if col_bands > 1 {
             sync_rounds += 1;
+            scatter(&mut y, band_rows, &accumulator);
+        } else {
+            scatter(&mut y, band_rows, partial.run(0));
         }
-        scatter(&mut y, &band_rows, &accumulator);
     }
     PartitionedRun {
         y,

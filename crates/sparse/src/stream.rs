@@ -6,6 +6,10 @@
 //! its operand element, producing a row-sorted stream; the tree then merges
 //! streams pairwise, summing entries with equal row indices. This module is
 //! that dataflow, with operation counting for the timing model.
+//!
+//! One pairwise merge kernel serves every caller. [`merge_two`] and
+//! [`merge_tree`] are its stream-at-a-time face; the SpMV engines run it on
+//! runs laid back to back in reused flat buffers, with the same pairing.
 
 /// A row-sorted stream of partial results.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -34,6 +38,12 @@ impl PartialStream {
             stream.push(row, value);
         }
         stream
+    }
+
+    /// The single run of a tree's root buffer.
+    pub(crate) fn from_root(root: Runs) -> Self {
+        debug_assert_eq!(root.len(), 1, "a tree root is one run");
+        Self { entries: root.data }
     }
 
     /// Appends an entry, combining with the tail if the row matches.
@@ -108,59 +118,184 @@ impl StreamOps {
     }
 }
 
-/// Merges two row-sorted streams, summing equal rows — one PE firing in
-/// SpMV mode.
-#[must_use]
-pub fn merge_two(a: &PartialStream, b: &PartialStream, ops: &mut StreamOps) -> PartialStream {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// Merges two row-sorted runs into `out`, summing equal rows — one PE
+/// firing in SpMV mode, and the only merge loop of the crate: the tree
+/// levels, the cross-rank synchronization stage and the streaming fold all
+/// call it. On equal rows the sum is `a`'s value plus `b`'s.
+pub(crate) fn merge_into(
+    a: &[(usize, f64)],
+    b: &[(usize, f64)],
+    out: &mut Vec<(usize, f64)>,
+    ops: &mut StreamOps,
+) {
+    out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
-    let (ea, eb) = (a.entries(), b.entries());
-    while i < ea.len() && j < eb.len() {
+    while i < a.len() && j < b.len() {
         ops.compares += 1;
-        match ea[i].0.cmp(&eb[j].0) {
+        match a[i].0.cmp(&b[j].0) {
             std::cmp::Ordering::Less => {
-                out.push(ea[i]);
+                out.push(a[i]);
                 ops.forwards += 1;
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(eb[j]);
+                out.push(b[j]);
                 ops.forwards += 1;
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push((ea[i].0, ea[i].1 + eb[j].1));
+                out.push((a[i].0, a[i].1 + b[j].1));
                 ops.adds += 1;
                 i += 1;
                 j += 1;
             }
         }
     }
-    ops.forwards += (ea.len() - i + eb.len() - j) as u64;
-    out.extend_from_slice(&ea[i..]);
-    out.extend_from_slice(&eb[j..]);
-    PartialStream { entries: out }
+    ops.forwards += (a.len() - i + b.len() - j) as u64;
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Merges two row-sorted streams, summing equal rows — one PE firing in
+/// SpMV mode.
+#[must_use]
+pub fn merge_two(a: &PartialStream, b: &PartialStream, ops: &mut StreamOps) -> PartialStream {
+    let mut entries = Vec::new();
+    merge_into(a.entries(), b.entries(), &mut entries, ops);
+    PartialStream { entries }
 }
 
 /// Reduces many streams through a balanced binary tree — the FAFNIR tree in
 /// SpMV mode. Returns the single combined stream.
+///
+/// Each level pairs streams (0, 1), (2, 3), …; an odd last stream moves up
+/// a level unmerged and uncounted.
 #[must_use]
-pub fn merge_tree(mut streams: Vec<PartialStream>, ops: &mut StreamOps) -> PartialStream {
+pub fn merge_tree(streams: Vec<PartialStream>, ops: &mut StreamOps) -> PartialStream {
     if streams.is_empty() {
         return PartialStream::new();
     }
-    while streams.len() > 1 {
-        let mut next = Vec::with_capacity(streams.len().div_ceil(2));
-        let mut iter = streams.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge_two(&a, &b, ops)),
-                None => next.push(a),
-            }
-        }
-        streams = next;
+    let mut leaves = Runs::default();
+    for stream in &streams {
+        leaves.push_run(stream.entries());
     }
-    streams.pop().expect("non-empty")
+    let mut root = Runs::default();
+    reduce_group(&leaves, 0..leaves.len(), &mut root, &mut TreeScratch::default(), ops);
+    PartialStream::from_root(root)
+}
+
+/// Row-sorted runs laid back to back in one buffer: run `i` is
+/// `data[bounds[i]..bounds[i + 1]]`. The flat engine keeps every level of
+/// its merge trees in two of these instead of one `Vec` per stream.
+#[derive(Debug)]
+pub(crate) struct Runs {
+    data: Vec<(usize, f64)>,
+    bounds: Vec<usize>,
+}
+
+impl Default for Runs {
+    fn default() -> Self {
+        Self { data: Vec::new(), bounds: vec![0] }
+    }
+}
+
+impl Runs {
+    /// Empties the buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.data.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+    }
+
+    /// Run count.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Run `i`.
+    pub(crate) fn run(&self, i: usize) -> &[(usize, f64)] {
+        &self.data[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// Entries in all runs.
+    pub(crate) fn entries(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Entries in runs `group`.
+    pub(crate) fn entries_in(&self, group: &std::ops::Range<usize>) -> usize {
+        self.bounds[group.end] - self.bounds[group.start]
+    }
+
+    /// Appends an entry to the open (last, unsealed) run, combining with
+    /// its tail if the row matches — [`PartialStream::push`] on a run.
+    pub(crate) fn push(&mut self, row: usize, value: f64) {
+        let open = *self.bounds.last().expect("bounds start at 0") < self.data.len();
+        match self.data.last_mut() {
+            Some((last, acc)) if open && *last == row => *acc += value,
+            _ => self.data.push((row, value)),
+        }
+    }
+
+    /// Closes the open run (possibly empty).
+    pub(crate) fn seal(&mut self) {
+        self.bounds.push(self.data.len());
+    }
+
+    /// Appends a whole run.
+    pub(crate) fn push_run(&mut self, run: &[(usize, f64)]) {
+        self.data.extend_from_slice(run);
+        self.seal();
+    }
+}
+
+/// The two level buffers a [`reduce_group`] tree alternates between, kept
+/// so repeated trees reuse their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct TreeScratch {
+    level: Runs,
+    spare: Runs,
+}
+
+/// One tree level over runs `group` of `src`, appended to `dst`: pairs
+/// (0, 1), (2, 3), … merge; an odd last run moves up unmerged.
+fn merge_level(src: &Runs, group: std::ops::Range<usize>, dst: &mut Runs, ops: &mut StreamOps) {
+    let mut i = group.start;
+    while i + 1 < group.end {
+        merge_into(src.run(i), src.run(i + 1), &mut dst.data, ops);
+        dst.seal();
+        i += 2;
+    }
+    if i < group.end {
+        dst.push_run(src.run(i));
+    }
+}
+
+/// Reduces runs `group` (non-empty) of `src` through a balanced pairwise
+/// tree and appends the single result to `dst` as one run — the exact
+/// association of [`merge_tree`], level by level in `scratch`'s two
+/// buffers.
+pub(crate) fn reduce_group(
+    src: &Runs,
+    group: std::ops::Range<usize>,
+    dst: &mut Runs,
+    scratch: &mut TreeScratch,
+    ops: &mut StreamOps,
+) {
+    debug_assert!(!group.is_empty(), "a tree needs at least one stream");
+    if group.len() <= 2 {
+        merge_level(src, group, dst, ops);
+        return;
+    }
+    let TreeScratch { level, spare } = scratch;
+    level.clear();
+    merge_level(src, group, level, ops);
+    while level.len() > 2 {
+        spare.clear();
+        merge_level(level, 0..level.len(), spare, ops);
+        std::mem::swap(level, spare);
+    }
+    merge_level(level, 0..level.len(), dst, ops);
 }
 
 #[cfg(test)]

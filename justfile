@@ -121,6 +121,14 @@ bench seconds="2":
             | grep -q '^{"correct": true' || exit 1; \
     done
 
+# Print the per-layer wall split of one benchmark workload: build perfbench,
+# run it traced (`--trace 1 --seed 1`) and keep the `metric` lines. Speed
+# work records this split before and after the change.
+split workload="spmv-rmat-partitioned" seconds="5":
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    perfbench/target/release/fafnir-perfbench --workload {{workload}} --seed 1 \
+        --seconds {{seconds}} --trace 1 | grep '^metric '
+
 # Profile one benchmark workload with gprofng (binutils) and print the
 # hottest functions. Samples the untraced perfbench run at the high
 # sampling rate: the default rate catches too few samples on short runs.

@@ -1,6 +1,6 @@
 //! Matrix Market headers are untrusted input: a size line may declare any
-//! entry count, and `mtx::parse` must answer with a typed error instead of
-//! sizing an allocation by it.
+//! entry count or dimension, and `mtx::parse` must answer with a typed
+//! error instead of handing on a matrix that later paths size buffers by.
 
 use fafnir_sparse::mtx;
 
@@ -42,4 +42,23 @@ fn non_finite_values_are_errors_naming_their_line() {
             }
         }
     }
+}
+
+#[test]
+fn huge_dimensions_are_errors_naming_the_size_line() {
+    for size in ["1 4000000000 1", "4000000000 1 1", "4000000000 4000000000 1"] {
+        let text = format!("%%MatrixMarket matrix coordinate real general\n% c\n{size}\n1 1 2.0\n");
+        let error = mtx::parse(&text).expect_err("the dimension is above the limit");
+        assert_eq!(error.line, 3, "{size}: {error}");
+        assert!(
+            error.to_string().contains(&format!("exceed the limit of {}", mtx::MAX_DIMENSION)),
+            "{size}: unexpected error: {error}"
+        );
+    }
+    // The limit itself is a legal dimension.
+    let edge = mtx::MAX_DIMENSION;
+    let text = format!("%%MatrixMarket matrix coordinate real general\n1 {edge} 1\n1 {edge} 2.0\n");
+    let matrix = mtx::parse(&text).expect("a dimension at the limit parses");
+    assert_eq!((matrix.rows(), matrix.cols()), (1, edge));
+    assert_eq!(matrix.entries(), &[(0, edge - 1, 2.0)]);
 }
