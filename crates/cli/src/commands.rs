@@ -136,13 +136,60 @@ fn result_row(name: &str, result: &LookupResult) -> String {
     )
 }
 
+/// The checked traffic flags `--skew S (1.15) --universe U (2000)
+/// --query-len Q --seed X (7)` every query-generating command shares.
+struct Traffic {
+    skew: f64,
+    universe: u64,
+    query_len: usize,
+    seed: u64,
+}
+
+impl Traffic {
+    /// A fresh seeded generator: uniform popularity at skew 0, Zipf above.
+    fn generator(&self) -> BatchGenerator {
+        let popularity = if self.skew == 0.0 {
+            Popularity::Uniform
+        } else {
+            Popularity::Zipf { exponent: self.skew }
+        };
+        BatchGenerator::new(popularity, self.universe, self.query_len, self.seed)
+    }
+}
+
+/// Parses the traffic flags, rejecting the values [`BatchGenerator::new`]
+/// panics on (a negative or non-finite skew, a universe that is empty or
+/// smaller than one query) and a universe past the 32-bit index space.
+fn traffic_from_args(args: &ParsedArgs, default_query_len: usize) -> Result<Traffic, ArgError> {
+    let traffic = Traffic {
+        skew: args.number_or("skew", 1.15)?,
+        universe: args.number_or("universe", 2_000)?,
+        query_len: args.number_or("query-len", default_query_len)?,
+        seed: args.number_or("seed", 7)?,
+    };
+    if !(traffic.skew.is_finite() && traffic.skew >= 0.0) {
+        return Err(ArgError(format!(
+            "--skew must be finite and non-negative, got {}",
+            traffic.skew
+        )));
+    }
+    if traffic.universe == 0
+        || traffic.universe < traffic.query_len as u64
+        || traffic.universe > u64::from(u32::MAX)
+    {
+        return Err(ArgError(format!(
+            "--universe must be in 1..=2^32-1 and at least --query-len ({}), got {}",
+            traffic.query_len, traffic.universe
+        )));
+    }
+    Ok(traffic)
+}
+
 fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
     let batch_size: usize = args.number_or("batch", 32)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
+    let traffic = traffic_from_args(args, 16)?;
+    let query_len = traffic.query_len;
     let ranks: usize = args.number_or("ranks", 32)?;
-    let seed: u64 = args.number_or("seed", 7)?;
     let engine_choice = args.get_or("engine", "all");
     let op = reduce_op(args)?;
     if batch_size == 0 || query_len == 0 {
@@ -153,10 +200,7 @@ fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
     mem.refresh = args.switch("refresh");
     mem.model = memory_model(args)?;
     let source = StripedSource::new(mem.topology, 128);
-    let popularity =
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
-    let mut generator = BatchGenerator::new(popularity, universe, query_len, seed);
-    let batch = generator.batch(batch_size);
+    let batch = traffic.generator().batch(batch_size);
 
     let mut out = format!(
         "lookup: {batch_size} queries x {query_len} indices over {ranks} ranks \
@@ -241,10 +285,7 @@ fn serve(args: &ParsedArgs) -> Result<String, ArgError> {
     let workers: usize = args.number_or("workers", 4)?;
     let queries: usize = args.number_or("duration-queries", 512)?;
     let queue_capacity: usize = args.number_or("queue-capacity", 1_024)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
+    let flags = traffic_from_args(args, 16)?;
 
     let arrivals = match args.get_or("process", "poisson") {
         "poisson" => ArrivalProcess::Poisson { rate_qps: rate },
@@ -282,11 +323,12 @@ fn serve(args: &ParsedArgs) -> Result<String, ArgError> {
         queue_capacity,
         shed,
         queries,
-        seed,
+        seed: flags.seed,
         ..ServeConfig::default()
     };
 
-    let faults = parse_fault_plan(args.get_or("faults", "none"), workers, queries, rate, seed)?;
+    let faults =
+        parse_fault_plan(args.get_or("faults", "none"), workers, queries, rate, flags.seed)?;
     let timeout_ns = match args.get("timeout-ns") {
         None => None,
         Some(_) => Some(args.number_or("timeout-ns", 0.0f64)?),
@@ -310,9 +352,7 @@ fn serve(args: &ParsedArgs) -> Result<String, ArgError> {
     };
     let (engine, source) = fafnir_serve::worker_setup(engine_config, memory_model(args)?)
         .map_err(|e| ArgError(e.to_string()))?;
-    let popularity =
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
-    let traffic = || BatchGenerator::new(popularity, universe, query_len, seed);
+    let traffic = || flags.generator();
 
     let scenario_threads: usize = args.number_or("scenario-threads", 1)?;
     if scenario_threads == 0 {
@@ -380,10 +420,8 @@ fn cluster(args: &ParsedArgs) -> Result<String, ArgError> {
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1 (a cluster needs a shard)".into()));
     }
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    if universe == 0 || universe > u64::from(u32::MAX) {
-        return Err(ArgError(format!("--universe must be in 1..=2^32-1, got {universe}")));
-    }
+    let traffic = traffic_from_args(args, 16)?;
+    let universe = traffic.universe;
     let strategy = match args.get_or("strategy", "rowrange") {
         "tablewise" => {
             let rows_per_table: u32 = args.number_or("rows-per-table", 250)?;
@@ -414,13 +452,10 @@ fn cluster(args: &ParsedArgs) -> Result<String, ArgError> {
     let rate: f64 = args.number_or("rate", 1e6)?;
     let workers: usize = args.number_or("workers", 4)?;
     let queries: usize = args.number_or("duration-queries", 512)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
 
     let mut plan = ShardPlan::new(shards, strategy);
     if replicate_hot > 0.0 {
-        let hot = Zipf::new(universe, skew.max(0.0)).hot_set(replicate_hot);
+        let hot = Zipf::new(universe, traffic.skew).hot_set(replicate_hot);
         plan = plan.with_replicated(hot.into_iter().map(|id| VectorIndex(id as u32)));
     }
     let engine_config = FafnirConfig {
@@ -435,14 +470,12 @@ fn cluster(args: &ParsedArgs) -> Result<String, ArgError> {
         arrivals: ArrivalProcess::Poisson { rate_qps: rate },
         workers,
         queries,
-        seed,
+        seed: traffic.seed,
         ..ServeConfig::default()
     };
     let resilience = ResilienceConfig::none(workers);
-    let popularity =
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
-    let mut traffic = BatchGenerator::new(popularity, universe, query_len, seed);
-    let outcome = simulate_resilient(&cluster, &source, &mut traffic, &config, &resilience)
+    let mut generator = traffic.generator();
+    let outcome = simulate_resilient(&cluster, &source, &mut generator, &config, &resilience)
         .map_err(|e| ArgError(e.to_string()))?;
     let serve_report = ServeReport::with_resilience(&config, &resilience, &outcome);
     let report = ClusterReport::new(&cluster, &serve_report);
@@ -648,11 +681,9 @@ fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
     use fafnir_core::inject::{build_rank_inputs_with, GatheredVector};
     use fafnir_core::{PeTiming, ReductionTree};
     let batch_size: usize = args.number_or("batch", 4)?;
-    let query_len: usize = args.number_or("query-len", 8)?;
+    let traffic = traffic_from_args(args, 8)?;
+    let query_len = traffic.query_len;
     let ranks: usize = args.number_or("ranks", 8)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let seed: u64 = args.number_or("seed", 7)?;
     let _ = memory_for(ranks)?;
     let config = FafnirConfig {
         vector_dim: 8,
@@ -660,13 +691,7 @@ fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
         ..FafnirConfig::paper_default()
     };
     let tree = ReductionTree::new(config, ranks).map_err(|e| ArgError(e.to_string()))?;
-    let mut generator = BatchGenerator::new(
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } },
-        universe,
-        query_len,
-        seed,
-    );
-    let batch = generator.batch(batch_size);
+    let batch = traffic.generator().batch(batch_size);
     let gathered: Vec<GatheredVector> = batch
         .unique_indices()
         .iter()
@@ -726,19 +751,11 @@ fn energy(args: &ParsedArgs) -> Result<String, ArgError> {
     use fafnir_core::FafnirEngine;
     use fafnir_mem::EnergyModel;
     let batch_size: usize = args.number_or("batch", 32)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let seed: u64 = args.number_or("seed", 7)?;
+    let traffic = traffic_from_args(args, 16)?;
+    let query_len = traffic.query_len;
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, 128);
-    let mut generator = BatchGenerator::new(
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } },
-        universe,
-        query_len,
-        seed,
-    );
-    let batch = generator.batch(batch_size);
+    let batch = traffic.generator().batch(batch_size);
     let dram_model = EnergyModel::ddr4();
     let tree_model = TreeEnergyModel::asap7();
     let mut out = format!(
@@ -765,16 +782,7 @@ fn trace(args: &ParsedArgs) -> Result<String, ArgError> {
     if let Some(count) = args.get("record") {
         let count: usize =
             count.parse().map_err(|_| ArgError(format!("--record: `{count}` is not a number")))?;
-        let skew: f64 = args.number_or("skew", 1.15)?;
-        let universe: u64 = args.number_or("universe", 2_000)?;
-        let query_len: usize = args.number_or("query-len", 16)?;
-        let seed: u64 = args.number_or("seed", 7)?;
-        let mut generator = BatchGenerator::new(
-            if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } },
-            universe,
-            query_len,
-            seed,
-        );
+        let mut generator = traffic_from_args(args, 16)?.generator();
         return Ok(QueryTrace::record(&mut generator, count).to_text());
     }
     if let Some(path) = args.get("distances") {
@@ -828,6 +836,24 @@ mod tests {
 
     fn run_line(line: &str) -> Result<String, ArgError> {
         run(&ParsedArgs::parse(line.split_whitespace().map(String::from)).unwrap())
+    }
+
+    #[test]
+    fn traffic_flags_that_would_panic_are_errors() {
+        for line in [
+            "lookup --universe 0",
+            "energy --universe 0",
+            "serve --universe 0 --duration-queries 8",
+            "cluster --universe 0 --duration-queries 8",
+            "anatomy --universe 0",
+            "trace --record 2 --universe 5 --query-len 10",
+            "lookup --universe 4294967296",
+            "lookup --skew -1",
+            "lookup --skew NaN",
+            "trace --record 2 --skew inf",
+        ] {
+            assert!(run_line(line).is_err(), "`{line}` must be an error");
+        }
     }
 
     #[test]

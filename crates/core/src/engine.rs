@@ -249,36 +249,6 @@ impl LookupResult {
         let times: Vec<f64> = self.per_query_ns.iter().map(|&(_, t)| t).collect();
         nearest_rank_percentile_ns(&times, p)
     }
-
-    /// Scales every service-time figure (latency decomposition, stage
-    /// times and per-query completions) by `factor`, leaving outputs and
-    /// data-movement counters untouched.
-    ///
-    /// This is the hook serving layers use to model a *degraded* worker
-    /// replica — thermal throttling, a straggler DIMM, a noisy neighbour —
-    /// without re-simulating the lookup: the same work takes `factor`
-    /// times longer but reads exactly the same data. A factor of 1.0 is an
-    /// exact no-op (bit-identical result), which the fault-free serving
-    /// path relies on for byte-stable reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    pub fn scale_service_time(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0, "factor must be positive and finite");
-        if factor == 1.0 {
-            return;
-        }
-        self.latency.total_ns *= factor;
-        self.latency.memory_ns *= factor;
-        self.latency.compute_tail_ns *= factor;
-        self.analytic.compute_ns *= factor;
-        self.analytic.compute_throughput_ns *= factor;
-        self.analytic.host_transfer_ns *= factor;
-        for (_, completion) in &mut self.per_query_ns {
-            *completion *= factor;
-        }
-    }
 }
 
 /// The `p`-th nearest-rank percentile of a latency sample in nanoseconds.
@@ -445,12 +415,6 @@ impl FafnirEngine {
         &self.config
     }
 
-    /// The memory configuration.
-    #[must_use]
-    pub fn memory_config(&self) -> &MemoryConfig {
-        &self.mem_config
-    }
-
     /// The reduction tree.
     #[must_use]
     pub fn tree(&self) -> &ReductionTree {
@@ -486,15 +450,6 @@ impl FafnirEngine {
             result.append_serial(self.lookup(&single, source)?);
         }
         Ok(result)
-    }
-
-    /// Number of point-to-point connections in a FAFNIR deployment over `m`
-    /// ranks feeding `c` cores: `(2m − 2) + c` (Sec. IV-A), versus the
-    /// baseline's all-to-all `c × m`.
-    #[must_use]
-    pub fn connection_count(&self, cores: usize) -> usize {
-        let m = self.mem_config.topology.total_ranks();
-        (2 * m).saturating_sub(2) + cores
     }
 }
 
@@ -852,36 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_service_time_stretches_latency_but_not_traffic() {
-        let engine = engine();
-        let source = source();
-        let batch = Batch::from_index_sets([indexset![1, 2, 3], indexset![2, 4]]);
-        let base = engine.lookup(&batch, &source).unwrap();
-        let mut scaled = base.clone();
-        scaled.scale_service_time(1.0);
-        assert_eq!(scaled, base, "factor 1.0 must be an exact no-op");
-        scaled.scale_service_time(4.0);
-        assert_eq!(scaled.latency.total_ns, base.latency.total_ns * 4.0);
-        assert_eq!(scaled.latency.memory_ns, base.latency.memory_ns * 4.0);
-        for ((qa, a), (qb, b)) in scaled.per_query_ns.iter().zip(&base.per_query_ns) {
-            assert_eq!(qa, qb);
-            assert_eq!(*a, b * 4.0);
-        }
-        assert_eq!(scaled.traffic, base.traffic, "data movement is unaffected");
-        assert_eq!(scaled.outputs, base.outputs, "outputs are unaffected");
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive and finite")]
-    fn scale_service_time_rejects_nonpositive_factors() {
-        let engine = engine();
-        let source = source();
-        let batch = Batch::from_index_sets([indexset![1]]);
-        let mut result = engine.lookup(&batch, &source).unwrap();
-        result.scale_service_time(0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "percentile must be in (0, 1]")]
     fn percentile_zero_is_rejected() {
         let _ = nearest_rank_percentile_ns(&[1.0], 0.0);
@@ -1112,13 +1037,6 @@ mod tests {
         // The paper's guarantee: only n output vectors cross to the host.
         assert_eq!(result.traffic.bytes_to_host, 2 * 512);
         assert!(result.traffic.bytes_from_dram >= result.traffic.bytes_to_host);
-    }
-
-    #[test]
-    fn connection_count_matches_paper_formula() {
-        let engine = engine();
-        // 32 ranks, 4 cores: (2×32 − 2) + 4 = 66, versus 128 all-to-all.
-        assert_eq!(engine.connection_count(4), 66);
     }
 
     #[test]

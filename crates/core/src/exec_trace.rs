@@ -35,12 +35,6 @@ impl PeFiring {
     pub fn span_ns(&self) -> f64 {
         (self.last_output_ns - self.first_input_ns).max(0.0)
     }
-
-    /// True when the PE had work on both inputs.
-    #[must_use]
-    pub fn had_both_inputs(&self) -> bool {
-        self.inputs_a > 0 && self.inputs_b > 0
-    }
 }
 
 /// The complete firing record of one tree traversal.
@@ -59,12 +53,6 @@ impl ExecutionTrace {
     /// Appends one firing (called by the tree).
     pub fn record(&mut self, firing: PeFiring) {
         self.firings.push(firing);
-    }
-
-    /// All firings, leaves first.
-    #[must_use]
-    pub fn firings(&self) -> &[PeFiring] {
-        &self.firings
     }
 
     /// The firing that performed the most reductions, if any reduced.
@@ -154,11 +142,11 @@ mod tests {
     fn trace_covers_every_pe() {
         let batch = Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 3, 5]]);
         let (run, trace) = traced_run(&batch, 8);
-        assert_eq!(trace.firings().len(), 7, "4 leaves + 2 + 1 root");
+        assert_eq!(trace.firings.len(), 7, "4 leaves + 2 + 1 root");
         assert_eq!(run.stats.pes, 7);
         // Leaf firings come first, root last.
-        assert_eq!(trace.firings()[0].level, 0);
-        assert_eq!(trace.firings().last().unwrap().level, 2);
+        assert_eq!(trace.firings[0].level, 0);
+        assert_eq!(trace.firings.last().unwrap().level, 2);
     }
 
     #[test]
@@ -202,7 +190,7 @@ mod tests {
         let (_, trace) = traced_run(&batch, 8);
         let busiest = trace.busiest_pe().expect("a reduce happened");
         assert_eq!(busiest.level, 0);
-        assert!(busiest.had_both_inputs());
+        assert!(busiest.inputs_a > 0 && busiest.inputs_b > 0);
     }
 
     #[test]
@@ -210,7 +198,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 1, 2, 3]]);
         let (_, trace) = traced_run(&batch, 8);
         let rendered = trace.render_waterfall(40);
-        assert_eq!(rendered.lines().count(), 1 + trace.firings().len());
+        assert_eq!(rendered.lines().count(), 1 + trace.firings.len());
         assert!(rendered.contains("L0 PE0"));
         assert!(rendered.contains('#'));
     }
@@ -219,12 +207,12 @@ mod tests {
     fn spans_are_nonnegative_and_ordered_by_level() {
         let batch = Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 7]]);
         let (_, trace) = traced_run(&batch, 8);
-        for firing in trace.firings() {
+        for firing in &trace.firings {
             assert!(firing.span_ns() >= 0.0);
         }
         // The root finishes no earlier than any leaf.
-        let root_end = trace.firings().last().unwrap().last_output_ns;
-        for firing in trace.firings() {
+        let root_end = trace.firings.last().unwrap().last_output_ns;
+        for firing in &trace.firings {
             if firing.outputs > 0 {
                 assert!(root_end >= firing.first_input_ns);
             }

@@ -63,16 +63,6 @@ impl Header {
         self.queries.iter().find(|p| p.query == query)
     }
 
-    /// Size of the encoded header in bits, given `bits_per_index`-wide index
-    /// fields. Matches the paper's sizing: a 10 B header for q = 16 and
-    /// 5-bit fields (16 × 5 bits ≈ 10 B, Sec. IV-B).
-    #[must_use]
-    pub fn encoded_bits(&self, bits_per_index: u32) -> usize {
-        let index_fields =
-            self.indices.len() + self.queries.iter().map(|p| p.remaining.len()).sum::<usize>();
-        index_fields * bits_per_index as usize
-    }
-
     /// Checks the structural invariant: every pending entry's remaining set
     /// is disjoint from the already-reduced indices.
     #[must_use]
@@ -133,12 +123,6 @@ impl Item {
         self.ready_ns = ns;
         self
     }
-
-    /// Number of vectors reduced into this item.
-    #[must_use]
-    pub fn reduced_count(&self) -> usize {
-        self.header.indices.len()
-    }
 }
 
 #[cfg(test)]
@@ -163,21 +147,6 @@ mod tests {
         assert!(header.invariant_holds());
         assert!(header.pending_for(QueryId(2)).is_some());
         assert!(header.pending_for(QueryId(1)).is_none());
-    }
-
-    #[test]
-    fn encoded_bits_match_table_sizing() {
-        // A header carrying q = 16 total index fields at 5 bits each is 80
-        // bits = 10 B (Sec. IV-B / Table I).
-        let header = Header {
-            indices: IndexSet::from_iter_dedup((0..4).map(VectorIndex)),
-            queries: vec![PendingQuery::new(
-                QueryId(0),
-                IndexSet::from_iter_dedup((4..16).map(VectorIndex)),
-            )],
-        };
-        assert_eq!(header.encoded_bits(5), 80);
-        assert_eq!(header.encoded_bits(5).div_ceil(8), 10);
     }
 
     #[test]
@@ -210,6 +179,5 @@ mod tests {
     fn item_timestamps_compose() {
         let item = Item::new(Header::default(), vec![0.0; 4]).ready_at(12.5);
         assert_eq!(item.ready_ns, 12.5);
-        assert_eq!(item.reduced_count(), 0);
     }
 }

@@ -46,7 +46,7 @@ impl AsicModel {
 
     /// Effective per-PE area when packed inside a node.
     #[must_use]
-    pub fn packed_pe_area_mm2(&self) -> f64 {
+    fn packed_pe_area_mm2(&self) -> f64 {
         self.dimm_rank_node_area_mm2 / 7.0
     }
 

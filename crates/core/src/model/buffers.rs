@@ -37,7 +37,7 @@ impl BufferModel {
 
     /// Header bytes per entry (`q × bits / 8`, the paper's 10 B).
     #[must_use]
-    pub fn header_bytes(&self) -> usize {
+    fn header_bytes(&self) -> usize {
         (self.max_query_len * self.bits_per_index as usize).div_ceil(8)
     }
 
@@ -49,7 +49,7 @@ impl BufferModel {
 
     /// Total buffer bytes in one PE (two FIFOs of B entries).
     #[must_use]
-    pub fn pe_buffer_bytes(&self) -> usize {
+    fn pe_buffer_bytes(&self) -> usize {
         2 * self.batch_capacity * self.entry_bytes()
     }
 

@@ -39,17 +39,6 @@ impl TreeEnergyModel {
             + ops.merges as f64 * self.merge_pj)
             / 1_000.0
     }
-
-    /// Total lookup energy in nanojoules: tree plus DRAM.
-    #[must_use]
-    pub fn lookup_energy_nj(
-        &self,
-        ops: &PeOpCounts,
-        dram: &fafnir_mem::MemoryStats,
-        dram_model: &fafnir_mem::EnergyModel,
-    ) -> f64 {
-        self.tree_energy_nj(ops) + dram_model.dynamic_nj(dram)
-    }
 }
 
 impl Default for TreeEnergyModel {
@@ -93,16 +82,5 @@ mod tests {
             fafnir_mem::MemoryStats { reads: 2_000, activations: 250, ..Default::default() };
         let dram = fafnir_mem::EnergyModel::ddr4().dynamic_nj(&dram_stats);
         assert!(dram > 10.0 * tree, "dram {dram} nJ vs tree {tree} nJ");
-    }
-
-    #[test]
-    fn combined_energy_adds_components() {
-        let model = TreeEnergyModel::asap7();
-        let dram_model = fafnir_mem::EnergyModel::ddr4();
-        let counters = ops(100, 50, 20, 10);
-        let dram_stats = fafnir_mem::MemoryStats { reads: 64, ..Default::default() };
-        let total = model.lookup_energy_nj(&counters, &dram_stats, &dram_model);
-        let parts = model.tree_energy_nj(&counters) + dram_model.dynamic_nj(&dram_stats);
-        assert!((total - parts).abs() < 1e-12);
     }
 }

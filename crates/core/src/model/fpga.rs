@@ -28,29 +28,29 @@ impl FpgaDevice {
 
 /// Resource demand of one FAFNIR node on the FPGA.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeUtilization {
+struct NodeUtilization {
     /// LUTs used.
-    pub luts: u64,
+    luts: u64,
     /// LUTRAMs used.
-    pub lutrams: u64,
+    lutrams: u64,
     /// FFs used.
-    pub ffs: u64,
+    ffs: u64,
     /// BRAMs used.
-    pub brams: u64,
+    brams: u64,
     /// Dynamic power in watts @200 MHz.
-    pub dynamic_power_w: f64,
+    dynamic_power_w: f64,
 }
 
 impl NodeUtilization {
     /// A DIMM/rank node (seven PEs): calibrated to the paper's totals.
     #[must_use]
-    pub fn dimm_rank_node() -> Self {
+    fn dimm_rank_node() -> Self {
         Self { luts: 11_700, lutrams: 178, ffs: 4_730, brams: 56, dynamic_power_w: 0.23 }
     }
 
     /// A channel node (three PEs).
     #[must_use]
-    pub fn channel_node() -> Self {
+    fn channel_node() -> Self {
         Self { luts: 5_100, lutrams: 178, ffs: 2_030, brams: 57, dynamic_power_w: 0.18 }
     }
 }

@@ -170,7 +170,7 @@ fn scaled_stats(mut stats: MemoryStats, scale: u64) -> MemoryStats {
 /// model named by `plan.sim_config.model` (cycle-accurate or
 /// fast-functional).
 #[must_use]
-pub fn gather_plan(plan: &MemoryPlan) -> GatherOutcome {
+fn gather_plan(plan: &MemoryPlan) -> GatherOutcome {
     let mut memory = AnyMemory::new(plan.sim_config);
     let ids = submit_plan(&mut memory, plan);
     let idle_cycle = memory.run_until_idle();
@@ -226,8 +226,8 @@ impl<E: GatherEngine> LookupService for E {
 /// An engine decomposed into the three pipeline stages.
 ///
 /// Implementors provide `preprocess` and `reduce`; `gather` defaults to a
-/// dedicated per-plan memory system ([`gather_plan`]). `lookup` and
-/// `lookup_stream` drive the stages end to end.
+/// dedicated per-plan memory system built from the plan's memory model.
+/// `lookup` and `lookup_stream` drive the stages end to end.
 pub trait GatherEngine {
     /// Per-hardware-batch plan. Engines attach analytic precomputations by
     /// wrapping [`MemoryPlan`]; the pipeline only needs the `AsRef` view.

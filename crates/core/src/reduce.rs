@@ -36,12 +36,12 @@ use crate::index::VectorIndex;
 ///
 /// The main loop runs four independent scalar adds per iteration (the f32x4
 /// pattern), which the compiler vectorizes; element results are independent,
-/// so this is bit-identical to [`add_assign_scalar`].
+/// so this is bit-identical to `add_assign_scalar`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn add_assign_unrolled(a: &mut [f32], b: &[f32]) {
+fn add_assign_unrolled(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     let main = a.len() / 4 * 4;
     let (a_main, a_tail) = a.split_at_mut(main);
@@ -58,12 +58,13 @@ pub fn add_assign_unrolled(a: &mut [f32], b: &[f32]) {
     }
 }
 
-/// Scalar reference for [`add_assign_unrolled`], kept for parity tests.
+/// Scalar reference for `add_assign_unrolled`, kept for parity tests.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn add_assign_scalar(a: &mut [f32], b: &[f32]) {
+#[cfg(test)]
+fn add_assign_scalar(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     for (x, y) in a.iter_mut().zip(b) {
         *x += y;
@@ -71,14 +72,14 @@ pub fn add_assign_scalar(a: &mut [f32], b: &[f32]) {
 }
 
 /// Element-wise `max` with the same four-lane shape as
-/// [`add_assign_unrolled`]; element results are independent, so this is
-/// bit-identical to [`max_assign_scalar`] (including NaN propagation, which
+/// `add_assign_unrolled`; element results are independent, so this is
+/// bit-identical to `max_assign_scalar` (including NaN propagation, which
 /// follows [`f32::max`] in both).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn max_assign_unrolled(a: &mut [f32], b: &[f32]) {
+fn max_assign_unrolled(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     let main = a.len() / 4 * 4;
     let (a_main, a_tail) = a.split_at_mut(main);
@@ -94,25 +95,26 @@ pub fn max_assign_unrolled(a: &mut [f32], b: &[f32]) {
     }
 }
 
-/// Scalar reference for [`max_assign_unrolled`], kept for parity tests.
+/// Scalar reference for `max_assign_unrolled`, kept for parity tests.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn max_assign_scalar(a: &mut [f32], b: &[f32]) {
+#[cfg(test)]
+fn max_assign_scalar(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.max(*y);
     }
 }
 
-/// Element-wise `min` twin of [`max_assign_unrolled`], bit-identical to
-/// [`min_assign_scalar`].
+/// Element-wise `min` twin of `max_assign_unrolled`, bit-identical to
+/// `min_assign_scalar`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn min_assign_unrolled(a: &mut [f32], b: &[f32]) {
+fn min_assign_unrolled(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     let main = a.len() / 4 * 4;
     let (a_main, a_tail) = a.split_at_mut(main);
@@ -128,12 +130,13 @@ pub fn min_assign_unrolled(a: &mut [f32], b: &[f32]) {
     }
 }
 
-/// Scalar reference for [`min_assign_unrolled`], kept for parity tests.
+/// Scalar reference for `min_assign_unrolled`, kept for parity tests.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn min_assign_scalar(a: &mut [f32], b: &[f32]) {
+#[cfg(test)]
+fn min_assign_scalar(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.min(*y);
@@ -356,7 +359,7 @@ impl ReduceOperator for ArgMaxOperator {
         let (values, indices) = acc.split_at_mut(dim);
         let (other_values, other_indices) = other.split_at(dim);
         // Four independent lanes of compare + select per iteration, same
-        // shape as [`add_assign_unrolled`]; the select is branchless so the
+        // shape as `add_assign_unrolled`; the select is branchless so the
         // lanes vectorize, and lane results are independent, so this is
         // bit-identical to the scalar tail loop below.
         let main = dim / 4 * 4;

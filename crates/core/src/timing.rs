@@ -39,13 +39,6 @@ impl PeTiming {
         }
     }
 
-    /// The 7 nm ASIC profile: same structure, higher clock (the paper's ASIC
-    /// synthesis targets a faster clock than the FPGA prototype).
-    #[must_use]
-    pub fn asic_1ghz() -> Self {
-        Self { clock_mhz: 1_000, ..Self::fpga_200mhz() }
-    }
-
     /// Nanoseconds per NDP cycle.
     #[must_use]
     pub fn cycle_ns(&self) -> f64 {
@@ -98,13 +91,6 @@ mod tests {
     #[test]
     fn fpga_cycle_is_5ns() {
         assert!((PeTiming::fpga_200mhz().cycle_ns() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn asic_is_faster_than_fpga() {
-        assert!(
-            PeTiming::asic_1ghz().reduce_latency_ns() < PeTiming::fpga_200mhz().reduce_latency_ns()
-        );
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub struct DataBus {
     free_at: Cycle,
     /// Rank that drove the bus last.
     last_rank: Option<usize>,
-    /// Total cycles the bus has been occupied (for utilization stats).
-    busy_cycles: Cycle,
 }
 
 impl DataBus {
@@ -56,29 +54,6 @@ impl DataBus {
         debug_assert!(at >= self.free_at, "bus double-booked");
         self.free_at = at + duration;
         self.last_rank = Some(rank);
-        self.busy_cycles += duration;
-    }
-
-    /// Cycle at which the bus next becomes free.
-    #[must_use]
-    pub fn free_at(&self) -> Cycle {
-        self.free_at
-    }
-
-    /// Total cycles spent transferring data.
-    #[must_use]
-    pub fn busy_cycles(&self) -> Cycle {
-        self.busy_cycles
-    }
-
-    /// Bus utilization over the first `horizon` cycles (0.0–1.0).
-    #[must_use]
-    pub fn utilization(&self, horizon: Cycle) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / horizon as f64
-        }
     }
 }
 
@@ -94,7 +69,7 @@ mod tests {
     fn fresh_bus_is_immediately_ready() {
         let bus = DataBus::new();
         assert_eq!(bus.ready(5, 0, &timing()), 5);
-        assert_eq!(bus.free_at(), 0);
+        assert_eq!(bus.free_at, 0);
     }
 
     #[test]
@@ -123,16 +98,5 @@ mod tests {
         // Arriving well after the switch window: no penalty.
         let late = t.tBL + t.tRTRS + 100;
         assert_eq!(bus.ready(late, 1, &t), late);
-    }
-
-    #[test]
-    fn utilization_accumulates_busy_cycles() {
-        let t = timing();
-        let mut bus = DataBus::new();
-        bus.reserve(0, t.tBL, 0);
-        bus.reserve(bus.free_at(), t.tBL, 0);
-        assert_eq!(bus.busy_cycles(), 2 * t.tBL);
-        assert!((bus.utilization(2 * t.tBL) - 1.0).abs() < 1e-12);
-        assert_eq!(bus.utilization(0), 0.0);
     }
 }

@@ -297,13 +297,6 @@ impl ChannelController {
         self.stats.reset();
     }
 
-    /// Data-bus occupancy trackers (one, or one per rank under the NDP data
-    /// path).
-    #[must_use]
-    pub fn buses(&self) -> &[DataBus] {
-        &self.buses
-    }
-
     /// The largest `seq` inside the scheduling window: bursts younger than
     /// this are invisible to the scheduler this cycle.
     ///

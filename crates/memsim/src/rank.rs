@@ -8,7 +8,6 @@ use crate::Cycle;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rank {
     banks: Vec<Bank>,
-    bank_groups: usize,
     banks_per_group: usize,
     /// Issue cycles of the most recent activations (for tFAW).
     recent_acts: Vec<Cycle>,
@@ -24,7 +23,6 @@ impl Rank {
     pub fn new(topology: &Topology) -> Self {
         Self {
             banks: vec![Bank::new(); topology.banks_per_rank()],
-            bank_groups: topology.bank_groups,
             banks_per_group: topology.banks_per_group,
             recent_acts: Vec::new(),
             last_act: None,
@@ -59,7 +57,7 @@ impl Rank {
 
     /// The bank group a flat bank index belongs to.
     #[must_use]
-    pub fn group_of(&self, flat_bank: usize) -> usize {
+    fn group_of(&self, flat_bank: usize) -> usize {
         flat_bank / self.banks_per_group
     }
 
@@ -107,12 +105,6 @@ impl Rank {
     /// Records a RD/WR issued at `at` to `flat_bank`.
     pub fn record_column(&mut self, at: Cycle, flat_bank: usize) {
         self.last_column = Some((at, self.group_of(flat_bank)));
-    }
-
-    /// Number of bank groups in this rank.
-    #[must_use]
-    pub fn bank_group_count(&self) -> usize {
-        self.bank_groups
     }
 }
 

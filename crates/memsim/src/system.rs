@@ -375,15 +375,6 @@ impl MemorySystem {
         merged
     }
 
-    /// Peak data-bus utilization across all buses, over the elapsed cycles.
-    #[must_use]
-    pub fn peak_bus_utilization(&self) -> f64 {
-        self.controllers
-            .iter()
-            .flat_map(|c| c.buses().iter().map(|bus| bus.utilization(self.now)))
-            .fold(0.0, f64::max)
-    }
-
     fn total_queued(&self) -> usize {
         self.controllers.iter().map(ChannelController::queue_len).sum()
     }
@@ -584,7 +575,6 @@ mod tests {
         assert_eq!(stats.requests_completed, 10);
         assert_eq!(stats.reads, 80);
         assert!(stats.mean_request_latency() > 0.0);
-        assert!(mem.peak_bus_utilization() > 0.0);
     }
 
     #[test]

@@ -32,12 +32,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// The row-pointer array (`rows + 1` entries).
-    #[must_use]
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
     /// One row's `(column, value)` pairs.
     ///
     /// # Panics
@@ -111,7 +105,7 @@ mod tests {
     fn conversion_preserves_structure() {
         let m = sample();
         assert_eq!(m.nnz(), 5);
-        assert_eq!(m.row_ptr(), &[0, 2, 3, 5]);
+        assert_eq!(m.row_ptr, [0, 2, 3, 5]);
         assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, 4.0), (1, 5.0)]);
     }
 

@@ -13,8 +13,6 @@
 //! * [`iteration`] — the iterations/rounds plan of Figs. 8–9;
 //! * [`fafnir_spmv`] — the FAFNIR SpMV engine (functional + timed);
 //! * [`two_step`] — the state-of-the-art Two-Step NDP baseline;
-//! * [`dram_stream`] — physical grounding of the timing constants against
-//!   measured DRAM streaming and tree-ingestion bounds;
 //! * [`analysis`] — structural matrix profiles (degree skew, bandwidth,
 //!   symmetry) behind Fig. 14's suitability commentary;
 //! * [`partition`] — load-balanced 1D/2D SpMV partitioning across ranks
@@ -42,7 +40,6 @@ pub mod analysis;
 pub mod apps;
 pub mod coo;
 pub mod csr;
-pub mod dram_stream;
 pub mod fafnir_spmv;
 pub mod gen;
 pub mod iteration;

@@ -259,13 +259,13 @@ impl SpmvPartition {
 
     /// Row bands (1 for column partitions).
     #[must_use]
-    pub fn row_bands(&self) -> usize {
+    fn row_bands(&self) -> usize {
         self.row_bounds.len() - 1
     }
 
     /// Column bands per row band (1 for row partitions).
     #[must_use]
-    pub fn col_bands(&self) -> usize {
+    fn col_bands(&self) -> usize {
         self.col_bounds.len() - 1
     }
 
@@ -387,16 +387,6 @@ impl PartitionedRun {
             return 1.0;
         }
         self.critical_path_ns(timing) / mean
-    }
-
-    /// Total operation counts: every rank plus the synchronization merges.
-    #[must_use]
-    pub fn total_ops(&self) -> StreamOps {
-        let mut ops = self.sync_ops;
-        for run in &self.rank_runs {
-            ops.merge(&run.ops);
-        }
-        ops
     }
 }
 

@@ -8,6 +8,9 @@
 //! 1 (decompression plus a chain of adders instead of a parallel tree) but
 //! less per entry in the merge.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::fafnir_spmv::{SpmvRun, SpmvTiming};
 use crate::iteration::SpmvPlan;
 use crate::lil::LilMatrix;
@@ -67,23 +70,25 @@ pub fn execute(matrix: &LilMatrix, x: &[f64], vector_size: usize) -> SpmvRun {
 
 /// Merges `k` sorted runs in one pass, summing equal rows.
 fn k_way_merge(runs: &[PartialStream], ops: &mut StreamOps) -> PartialStream {
-    // Cursor per run; a linear scan over k heads models the binary compare
-    // tree (we count one compare per head inspection round).
-    let mut cursors = vec![0usize; runs.len()];
+    // A min-heap of (row, run, position) heads, one per live run: the
+    // lowest row wins and equal rows go to the lowest run index. The
+    // modelled binary compare tree inspects every live head per output, so
+    // each round counts one compare per live head.
+    let mut heads: BinaryHeap<Reverse<(usize, usize, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(run_index, run)| {
+            run.entries().first().map(|&(row, _)| Reverse((row, run_index, 0)))
+        })
+        .collect();
     let mut out = PartialStream::new();
-    loop {
-        let mut best: Option<(usize, usize)> = None; // (row, run)
-        for (run_index, run) in runs.iter().enumerate() {
-            if let Some(&(row, _)) = run.entries().get(cursors[run_index]) {
-                ops.compares += 1;
-                if best.is_none_or(|(best_row, _)| row < best_row) {
-                    best = Some((row, run_index));
-                }
-            }
+    while let Some(Reverse((row, run_index, position))) = heads.pop() {
+        ops.compares += heads.len() as u64 + 1;
+        let entries = runs[run_index].entries();
+        let (_, value) = entries[position];
+        if let Some(&(next_row, _)) = entries.get(position + 1) {
+            heads.push(Reverse((next_row, run_index, position + 1)));
         }
-        let Some((row, run_index)) = best else { break };
-        let (_, value) = runs[run_index].entries()[cursors[run_index]];
-        cursors[run_index] += 1;
         // PartialStream::push folds equal rows, modelling the merge core's
         // accumulate-on-tie behaviour.
         if out.entries().last().is_some_and(|&(last, _)| last == row) {

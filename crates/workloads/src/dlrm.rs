@@ -27,18 +27,6 @@ impl MlpSpec {
         Self { widths }
     }
 
-    /// Input width.
-    #[must_use]
-    pub fn input_width(&self) -> usize {
-        self.widths[0]
-    }
-
-    /// Output width.
-    #[must_use]
-    pub fn output_width(&self) -> usize {
-        *self.widths.last().expect("non-empty")
-    }
-
     /// FLOPs for one sample (2 per multiply-accumulate).
     #[must_use]
     pub fn flops_per_sample(&self) -> u64 {
@@ -72,13 +60,6 @@ impl DlrmBreakdown {
         self.bottom_mlp_ns + self.embedding_ns + self.interaction_ns + self.top_mlp_ns
     }
 
-    /// The non-embedding ("FC + other") share, comparable to the paper's
-    /// fixed 0.5 ms + 0.1 ms.
-    #[must_use]
-    pub fn non_embedding_ns(&self) -> f64 {
-        self.total_ns() - self.embedding_ns
-    }
-
     /// End-to-end speedup over another breakdown of the same model.
     #[must_use]
     pub fn speedup_over(&self, baseline: &DlrmBreakdown) -> f64 {
@@ -95,7 +76,7 @@ impl DlrmBreakdown {
 ///
 /// let model = DlrmModel::rm2();
 /// let inference = model.breakdown(2_000.0, 32); // 2 µs embedding stage
-/// assert!(inference.non_embedding_ns() > inference.embedding_ns);
+/// assert!(inference.total_ns() - inference.embedding_ns > inference.embedding_ns);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DlrmModel {
@@ -137,7 +118,7 @@ impl DlrmModel {
     /// Pairwise-interaction feature count for `tables` sparse features plus
     /// the bottom-MLP output: `C(tables + 1, 2)`.
     #[must_use]
-    pub fn interaction_features(tables: usize) -> usize {
+    fn interaction_features(tables: usize) -> usize {
         (tables + 1) * tables / 2
     }
 
@@ -172,15 +153,13 @@ mod tests {
         let mlp = MlpSpec::new(vec![4, 8, 2]);
         assert_eq!(mlp.flops_per_sample(), 2 * (4 * 8 + 8 * 2));
         assert_eq!(mlp.parameters(), 5 * 8 + 9 * 2);
-        assert_eq!(mlp.input_width(), 4);
-        assert_eq!(mlp.output_width(), 2);
     }
 
     #[test]
     fn rm2_non_embedding_cost_matches_the_papers_half_millisecond() {
         let model = DlrmModel::rm2();
         let breakdown = model.breakdown(0.0, 32);
-        let non_embedding_ms = breakdown.non_embedding_ns() / 1e6;
+        let non_embedding_ms = (breakdown.total_ns() - breakdown.embedding_ns) / 1e6;
         assert!(
             (0.3..0.9).contains(&non_embedding_ms),
             "non-embedding cost {non_embedding_ms:.2} ms should be ~0.5 ms"
@@ -195,7 +174,7 @@ mod tests {
         let slow = model.breakdown(2_000_000.0, 32); // 2 ms embedding
         let fast = model.breakdown(2_000.0, 32); // accelerated 1000x
         let speedup = fast.speedup_over(&slow);
-        let bound = slow.total_ns() / slow.non_embedding_ns();
+        let bound = slow.total_ns() / (slow.total_ns() - slow.embedding_ns);
         assert!(speedup > 2.0 && speedup <= bound, "{speedup} vs bound {bound}");
     }
 

@@ -90,18 +90,6 @@ impl EmbeddingTableSet {
         u64::from(self.tables) * u64::from(self.rows_per_table)
     }
 
-    /// Packs a (table, row) coordinate into a global [`VectorIndex`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` or `row` is out of range.
-    #[must_use]
-    pub fn index_of(&self, table: u32, row: u32) -> VectorIndex {
-        assert!(table < self.tables, "table {table} out of range");
-        assert!(row < self.rows_per_table, "row {row} out of range");
-        VectorIndex::from_table_row(table, row, self.rows_per_table)
-    }
-
     /// Splits a global index back into (table, row).
     #[must_use]
     pub fn coordinates_of(&self, index: VectorIndex) -> (u32, u32) {
@@ -193,15 +181,9 @@ mod tests {
     fn index_coordinates_round_trip() {
         let set = tables();
         for (table, row) in [(0, 0), (5, 123_456), (31, (1 << 20) - 1)] {
-            let index = set.index_of(table, row);
+            let index = VectorIndex::from_table_row(table, row, set.rows_per_table());
             assert_eq!(set.coordinates_of(index), (table, row));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "table 32 out of range")]
-    fn out_of_range_table_panics() {
-        let _ = tables().index_of(32, 0);
     }
 
     #[test]
@@ -220,7 +202,8 @@ mod tests {
         let topology = *set.topology();
         for table in [0, 15, 31] {
             for row in [0u32, 999_999, 1 << 19] {
-                let loc = set.location_of(set.index_of(table, row));
+                let index = VectorIndex::from_table_row(table, row, set.rows_per_table());
+                let loc = set.location_of(index);
                 assert!(loc.in_bounds(&topology));
             }
         }
@@ -239,8 +222,10 @@ mod tests {
     fn table_contiguous_puts_a_table_on_one_rank() {
         let set = tables().with_placement(TablePlacement::TableContiguous);
         let topology = *set.topology();
-        let rank_of =
-            |table: u32, row: u32| set.location_of(set.index_of(table, row)).global_rank(&topology);
+        let rank_of = |table: u32, row: u32| {
+            let index = VectorIndex::from_table_row(table, row, set.rows_per_table());
+            set.location_of(index).global_rank(&topology)
+        };
         for table in [0u32, 7, 31] {
             let first = rank_of(table, 0);
             assert_eq!(first, table as usize % 32);

@@ -249,13 +249,6 @@ impl FaultPlan {
         &self.workers[w]
     }
 
-    /// Whether any worker has any fault (a false result means the plan is
-    /// exactly [`FaultPlan::none`]).
-    #[must_use]
-    pub fn has_faults(&self) -> bool {
-        self.workers.iter().any(|w| w.slowdown != 1.0 || !w.downtimes.is_empty())
-    }
-
     /// The plan with worker ids renumbered: new worker `i` gets the old
     /// schedule `permutation[i]`. Serving reports must be invariant under
     /// this relabeling.
@@ -304,7 +297,7 @@ mod tests {
     #[test]
     fn zero_fault_plan_is_always_up_and_has_no_faults() {
         let plan = FaultPlan::none(3);
-        assert!(!plan.has_faults());
+        assert!(plan.workers.iter().all(|w| w.slowdown == 1.0 && w.downtimes.is_empty()));
         assert!(plan.validate().is_ok());
         for w in 0..3 {
             assert!(plan.worker(w).is_up(0.0));
@@ -322,7 +315,7 @@ mod tests {
         let c = FaultPlan::crash_restart(4, 1e6, 2e5, 1e8, 12);
         assert_ne!(a, c);
         assert!(a.validate().is_ok());
-        assert!(a.has_faults());
+        assert!(a.workers.iter().any(|w| !w.downtimes.is_empty()));
         for w in 0..4 {
             assert!(a.worker(w).is_up(0.0), "plans must start healthy");
         }

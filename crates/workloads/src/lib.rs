@@ -23,9 +23,8 @@
 //!   shortlisting, exact top-k ground truth, and recall@k for the Top-K
 //!   near-memory re-ranking scenario;
 //! * [`tablewise`] — DLRM-style one-row-per-table query generation;
-//! * [`roofline`] — the memory-bound positioning argument of Sec. II;
-//! * [`dlrm`] — a parametric DLRM cost model deriving the paper's fixed FC
-//!   latency from MLP shapes.
+//! * [`DlrmModel`] — a parametric DLRM cost model deriving the paper's fixed
+//!   FC latency from MLP shapes.
 //!
 //! ```
 //! use fafnir_workloads::query::{BatchGenerator, Popularity};
@@ -40,12 +39,11 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
-pub mod dlrm;
+mod dlrm;
 pub mod embedding;
 pub mod faults;
 pub mod query;
 pub mod recsys;
-pub mod roofline;
 pub mod similarity;
 pub mod stats;
 pub mod tablewise;

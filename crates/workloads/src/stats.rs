@@ -31,7 +31,7 @@ pub struct SharingStats {
 ///
 /// Panics if `samples` is zero.
 #[must_use]
-pub fn measure_sharing(
+fn measure_sharing(
     generator: &mut BatchGenerator,
     batch_size: usize,
     samples: usize,

@@ -35,7 +35,6 @@ pub struct TablewiseGenerator {
     tables: u32,
     rows_per_table: u32,
     tables_per_query: usize,
-    rows_per_lookup: usize,
     per_table: Zipf,
     rng: StdRng,
 }
@@ -64,28 +63,9 @@ impl TablewiseGenerator {
             tables: tables.tables(),
             rows_per_table: tables.rows_per_table(),
             tables_per_query,
-            rows_per_lookup: 1,
             per_table: Zipf::new(u64::from(tables.rows_per_table()), exponent),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Multi-hot pooling: sample `rows` distinct rows from each selected
-    /// table instead of one (categorical features with several active
-    /// values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is zero or exceeds the table's row count.
-    #[must_use]
-    pub fn with_rows_per_lookup(mut self, rows: usize) -> Self {
-        assert!(
-            rows > 0 && rows as u64 <= u64::from(self.rows_per_table),
-            "rows_per_lookup must be in 1..={}",
-            self.rows_per_table
-        );
-        self.rows_per_lookup = rows;
-        self
     }
 
     /// One query: a distinct table subset, one popular row per table.
@@ -96,20 +76,13 @@ impl TablewiseGenerator {
             let pick = self.rng.gen_range(slot..table_ids.len());
             table_ids.swap(slot, pick);
         }
-        let mut indices = Vec::with_capacity(self.tables_per_query * self.rows_per_lookup);
-        for &table in &table_ids[..self.tables_per_query] {
-            let mut rows: Vec<u32> = Vec::with_capacity(self.rows_per_lookup);
-            while rows.len() < self.rows_per_lookup {
+        table_ids[..self.tables_per_query]
+            .iter()
+            .map(|&table| {
                 let row = self.per_table.sample(&mut self.rng) as u32;
-                if !rows.contains(&row) {
-                    rows.push(row);
-                }
-            }
-            indices.extend(rows.into_iter().map(|row| {
                 fafnir_core::VectorIndex::from_table_row(table, row, self.rows_per_table)
-            }));
-        }
-        indices.into_iter().collect()
+            })
+            .collect()
     }
 
     /// A batch of `batch_size` queries.
@@ -163,21 +136,6 @@ mod tests {
         let touched: std::collections::HashSet<u32> =
             query.iter().map(|index| set.coordinates_of(index).0).collect();
         assert_eq!(touched.len(), 32);
-    }
-
-    #[test]
-    fn multi_hot_pooling_samples_distinct_rows_per_table() {
-        let set = tables();
-        let mut generator = TablewiseGenerator::new(&set, 4, 1.0, 6).with_rows_per_lookup(3);
-        let query = generator.query();
-        assert_eq!(query.len(), 12);
-        let mut per_table = std::collections::HashMap::new();
-        for index in query.iter() {
-            let (table, _) = set.coordinates_of(index);
-            *per_table.entry(table).or_insert(0usize) += 1;
-        }
-        assert_eq!(per_table.len(), 4);
-        assert!(per_table.values().all(|&count| count == 3));
     }
 
     #[test]

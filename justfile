@@ -30,6 +30,20 @@ docs:
 # Everything CI runs.
 ci: fmt clippy tier1 docs
 
+# List every `pub` fn/struct/enum/trait/type/const/mod in crates/*/src whose
+# name appears in no other .rs file under crates/, tests/, examples/ or
+# perfbench/src: public items nothing outside their own file uses. Each
+# hit should be deleted, made private, or kept for a recorded reason.
+census:
+    #!/usr/bin/env sh
+    grep -rnE --include='*.rs' '^\s*pub (const |unsafe |async )?(fn|struct|enum|trait|type|const|mod) [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
+        | sed -E 's/^([^:]*):([0-9]+):\s*pub (const |unsafe |async )?(fn|struct|enum|trait|type|const|mod) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2 \4 \5/' \
+        | while read -r file line kind name; do
+            if ! grep -rlw --include='*.rs' "$name" crates tests examples perfbench/src | grep -qvx "$file"; then
+                echo "$file:$line $kind $name"
+            fi
+        done
+
 # Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
 bench-driver:
     cargo bench -p fafnir-bench --bench parallel_driver
